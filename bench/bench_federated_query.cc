@@ -88,27 +88,28 @@ const char* QueryWithSelectivity(int keep_percent) {
 void BM_Federated_WithPushdown(benchmark::State& state) {
   Fixture& f = GetFixture(static_cast<int>(state.range(0)));
   const char* sql = QueryWithSelectivity(static_cast<int>(state.range(1)));
+  FederationStats stats;
   for (auto _ : state) {
-    auto out = f.engine->Query(sql, /*enable_pushdown=*/true);
+    auto out = f.engine->Query(sql, QueryOptions{.stats_out = &stats});
     benchmark::DoNotOptimize(out);
   }
-  state.counters["rows_shipped"] =
-      static_cast<double>(f.engine->last_stats().rows_shipped);
+  state.counters["rows_shipped"] = static_cast<double>(stats.rows_shipped);
   state.counters["join_input_rows"] =
-      static_cast<double>(f.engine->last_stats().join_input_rows);
+      static_cast<double>(stats.join_input_rows);
 }
 
 void BM_Federated_WithoutPushdown(benchmark::State& state) {
   Fixture& f = GetFixture(static_cast<int>(state.range(0)));
   const char* sql = QueryWithSelectivity(static_cast<int>(state.range(1)));
+  FederationStats stats;
+  const QueryOptions options{.enable_pushdown = false, .stats_out = &stats};
   for (auto _ : state) {
-    auto out = f.engine->Query(sql, /*enable_pushdown=*/false);
+    auto out = f.engine->Query(sql, options);
     benchmark::DoNotOptimize(out);
   }
-  state.counters["rows_shipped"] =
-      static_cast<double>(f.engine->last_stats().rows_shipped);
+  state.counters["rows_shipped"] = static_cast<double>(stats.rows_shipped);
   state.counters["join_input_rows"] =
-      static_cast<double>(f.engine->last_stats().join_input_rows);
+      static_cast<double>(stats.join_input_rows);
 }
 
 void BM_Federated_SingleSourceScan(benchmark::State& state) {
@@ -158,12 +159,12 @@ void BM_Federated_QueryCold(benchmark::State& state) {
   Fixture& f = GetCsvFixture(static_cast<int>(state.range(0)));
   const std::string sql = CsvScanQuery(static_cast<int>(state.range(0)),
                                        static_cast<int>(state.range(1)));
+  FederationStats stats;
   for (auto _ : state) {
-    auto out = f.engine->Query(sql);
+    auto out = f.engine->Query(sql, QueryOptions{.stats_out = &stats});
     benchmark::DoNotOptimize(out);
   }
-  state.counters["rows_shipped"] =
-      static_cast<double>(f.engine->last_stats().rows_shipped);
+  state.counters["rows_shipped"] = static_cast<double>(stats.rows_shipped);
 }
 
 void BM_Federated_QueryCached(benchmark::State& state) {
@@ -190,11 +191,11 @@ void BM_Federated_QueryCached(benchmark::State& state) {
   // Warm the cache outside the timed region.
   auto warm = engine.Query(sql);
   benchmark::DoNotOptimize(warm);
+  FederationStats stats;
   for (auto _ : state) {
-    auto out = engine.Query(sql);
+    auto out = engine.Query(sql, QueryOptions{.stats_out = &stats});
     benchmark::DoNotOptimize(out);
   }
-  const FederationStats& stats = engine.last_stats();
   state.counters["cache_hits"] = static_cast<double>(stats.cache_hits);
   state.counters["morsels_pruned"] =
       static_cast<double>(stats.morsels_pruned);
@@ -209,16 +210,17 @@ void BM_Federated_QueryArmed(benchmark::State& state) {
   Fixture& f = GetFixture(static_cast<int>(state.range(0)));
   const char* sql = QueryWithSelectivity(static_cast<int>(state.range(1)));
   CancelSource source;
+  FederationStats stats;
   QueryOptions options;
   options.cancel = source.token();
   options.degradation = DegradationMode::kBestEffort;
+  options.stats_out = &stats;
   for (auto _ : state) {
     options.deadline = Deadline::After(std::chrono::hours(1));
     auto out = f.engine->Query(sql, options);
     benchmark::DoNotOptimize(out);
   }
-  state.counters["rows_shipped"] =
-      static_cast<double>(f.engine->last_stats().rows_shipped);
+  state.counters["rows_shipped"] = static_cast<double>(stats.rows_shipped);
 }
 
 void BM_Federated_QueryStorm(benchmark::State& state) {

@@ -72,18 +72,20 @@ int main(int argc, char** argv) {
       "WHERE region = 'north' AND amount > 20 "
       "GROUP BY region";
 
-  auto with = engine.Query(sql, /*enable_pushdown=*/true);
+  // Each query reports its statistics through QueryOptions::stats_out.
+  FederationStats pushed;
+  auto with = engine.Query(sql, QueryOptions{.stats_out = &pushed});
   Check(with.status());
-  FederationStats pushed = engine.last_stats();
   std::printf("\nwith pushdown:\n%s", with->ToCsv().c_str());
   std::printf("  scanned=%zu shipped=%zu join_inputs=%zu "
               "pushed_conjuncts=%zu\n",
               pushed.rows_scanned, pushed.rows_shipped,
               pushed.join_input_rows, pushed.pushed_conjuncts);
 
-  auto without = engine.Query(sql, /*enable_pushdown=*/false);
+  FederationStats unpushed;
+  auto without = engine.Query(
+      sql, QueryOptions{.enable_pushdown = false, .stats_out = &unpushed});
   Check(without.status());
-  FederationStats unpushed = engine.last_stats();
   std::printf("\nwithout pushdown (same result):\n");
   std::printf("  scanned=%zu shipped=%zu join_inputs=%zu "
               "pushed_conjuncts=%zu\n",

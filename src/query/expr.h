@@ -1,6 +1,7 @@
 #ifndef LAKEKIT_QUERY_EXPR_H_
 #define LAKEKIT_QUERY_EXPR_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,13 @@ enum class ArithOp { kAdd, kSub, kMul, kDiv };
 
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
+
+/// Deepest expression tree the SQL parser builds (a column or literal has
+/// depth 1); deeper input is InvalidArgument. With ExecuteSelect's matching
+/// cap on the AND-ed conjuncts it rebuilds into chains, it bounds every
+/// recursive walk over a query's predicates: SplitConjuncts, compilation,
+/// batch evaluation and zone-map range evaluation.
+inline constexpr size_t kMaxExprDepth = 256;
 
 /// A scalar expression tree evaluated per row: literals, column references,
 /// comparisons, boolean connectives, arithmetic, IS NULL. The common

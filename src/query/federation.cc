@@ -1,60 +1,10 @@
 #include "query/federation.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace lakekit::query {
 
-void SplitConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
-  if (!expr) return;
-  if (expr->kind() == Expr::Kind::kLogical &&
-      expr->logical_op() == LogicalOp::kAnd) {
-    SplitConjuncts(expr->left(), out);
-    SplitConjuncts(expr->right(), out);
-    return;
-  }
-  out->push_back(expr);
-}
-
-ExprPtr CombineConjuncts(const std::vector<ExprPtr>& conjuncts) {
-  ExprPtr combined;
-  for (const ExprPtr& c : conjuncts) {
-    combined = combined ? Expr::Logical(LogicalOp::kAnd, combined, c) : c;
-  }
-  return combined;
-}
-
 namespace {
-
-ExecOptions MakeExecOptions(const QueryOptions& options) {
-  ExecOptions opts;
-  opts.pool = options.pool;
-  opts.cancel = options.cancel;
-  opts.deadline = options.deadline;
-  opts.budget = options.budget;
-  return opts;
-}
-
-/// Source-side tail of a scan: account the rows read, apply the pushed
-/// predicate, account the rows shipped to the mediator. Cached scans carry
-/// a zone map, so the filter prunes morsels the statistics rule out; the
-/// result is bit-identical to the unpruned path either way.
-Result<table::Table> FilterScanned(ScannedSource src, const Expr* predicate,
-                                   FederationStats* stats,
-                                   const ExecOptions& opts) {
-  if (stats != nullptr) stats->rows_scanned += src.table().num_rows();
-  table::Table t;
-  if (predicate != nullptr) {
-    FilterExecStats fstats;
-    LAKEKIT_ASSIGN_OR_RETURN(
-        t, Filter(src.table(), *predicate, src.zones(), opts, &fstats));
-    if (stats != nullptr) stats->morsels_pruned += fstats.morsels_pruned;
-  } else {
-    t = std::move(src).TakeOrCopy();
-  }
-  if (stats != nullptr) stats->rows_shipped += t.num_rows();
-  return t;
-}
 
 /// Whether a scan failure is the *source's* trouble — eligible for
 /// best-effort degradation and for breaker failure accounting. Deadline
@@ -103,7 +53,7 @@ Result<ScannedSource> FederatedEngine::ReadSource(
     // is never served as fresh (DESIGN.md §9.2).
     generation = source_->Generation(dataset);
     if (TableCache::Entry hit = cache->Find(dataset, generation)) {
-      if (stats != nullptr) ++stats->cache_hits;
+      ++stats->cache_hits;
       // A hit still refreshes the degradation schema: the breaker-gated
       // read below is bypassed entirely, so this is the only chance.
       MutexLock lock(mu_);
@@ -143,20 +93,15 @@ Result<ScannedSource> FederatedEngine::ReadSource(
         return r;
       },
       options.deadline);
-  if (stats != nullptr) {
-    stats->retries += attempts - 1;
-    stats->breaker_rejections += rejections;
-  }
+  stats->retries += attempts - 1;
+  stats->breaker_rejections += rejections;
   LAKEKIT_RETURN_IF_ERROR(result.status());
   {
-    // Single find-or-insert: insert_or_assign looks the key up once,
-    // where the old `schema_cache_[dataset] = schema` default-constructed
-    // a Schema and assigned over it.
     MutexLock lock(mu_);
     schema_cache_.insert_or_assign(dataset, result->schema());
   }
   if (cache != nullptr) {
-    if (stats != nullptr) ++stats->cache_misses;
+    ++stats->cache_misses;
     if (TableCache::Entry entry = cache->Put(dataset, generation, &*result)) {
       return ScannedSource{table::Table(), std::move(entry)};
     }
@@ -179,7 +124,7 @@ Result<ScannedSource> FederatedEngine::ReadSource(
 Result<ScannedSource> FederatedEngine::ReadDegradable(
     const std::string& dataset, const QueryOptions& options,
     FederationStats* stats) const {
-  if (stats != nullptr) ++stats->source_reads;
+  ++stats->source_reads;
   Result<ScannedSource> result = ReadSource(dataset, options, stats);
   if (result.ok() || options.degradation != DegradationMode::kBestEffort ||
       !SourceFault(result.status())) {
@@ -194,43 +139,15 @@ Result<ScannedSource> FederatedEngine::ReadDegradable(
     if (it == schema_cache_.end()) return result;
     schema = it->second;
   }
-  if (stats != nullptr) {
-    stats->partial = true;
-    stats->failed_sources.push_back(SourceFailure{dataset, result.status()});
-  }
+  stats->partial = true;
+  stats->failed_sources.push_back(SourceFailure{dataset, result.status()});
   return ScannedSource{table::Table(dataset, schema), TableCache::Entry()};
 }
 
-Result<table::Table> FederatedEngine::Scan(const std::string& dataset,
-                                           const Expr* predicate,
-                                           FederationStats* stats,
-                                           const QueryOptions& options) const {
-  if (stats != nullptr) ++stats->source_reads;
-  LAKEKIT_ASSIGN_OR_RETURN(ScannedSource src,
-                           ReadSource(dataset, options, stats));
-  return FilterScanned(std::move(src), predicate, stats,
-                       MakeExecOptions(options));
-}
-
-namespace {
-
-/// Whether every column referenced by `expr` exists in `schema`.
-bool CoveredBy(const Expr& expr, const table::Schema& schema) {
-  std::vector<std::string> columns;
-  expr.CollectColumns(&columns);
-  for (const std::string& c : columns) {
-    if (!schema.HasField(c)) return false;
-  }
-  return !columns.empty();
-}
-
-}  // namespace
-
 Result<table::Table> FederatedEngine::Query(std::string_view sql,
-                                            const QueryOptions& options,
-                                            FederationStats* stats_out) {
+                                            const QueryOptions& options) {
   // Computed into a local so concurrent queries never share accumulation
-  // state; published under the lock once, when the query is done.
+  // state, and published once, when the query is done.
   FederationStats stats;
   Result<table::Table> result = [&]() -> Result<table::Table> {
     // Overload valve first: a shed or expired-in-queue query does no work
@@ -250,27 +167,25 @@ Result<table::Table> FederatedEngine::Query(std::string_view sql,
                           options_.query_reservation_bytes);
     QueryOptions opts = options;
     if (opts.budget == nullptr) opts.budget = &account;
-    Result<table::Table> r = QueryImpl(sql, opts, &stats);
+    // The pipeline is ExecuteSelect's; the engine only says how a source
+    // is scanned.
+    const SourceScanner scan = [&](const std::string& dataset) {
+      return ReadDegradable(dataset, opts, &stats);
+    };
+    const ExecOptions exec{.pool = opts.pool,
+                           .cancel = opts.cancel,
+                           .deadline = opts.deadline,
+                           .budget = opts.budget};
+    Result<SelectStatement> stmt = ParseSql(sql);
+    Result<table::Table> r =
+        stmt.ok()
+            ? ExecuteSelect(*stmt, scan, exec, opts.enable_pushdown, &stats)
+            : Result<table::Table>(stmt.status());
     ticket.Finish(r.ok());
     return r;
   }();
-  if (options.stats_out != nullptr) *options.stats_out = stats;
-  if (stats_out != nullptr) *stats_out = stats;
-  MutexLock lock(mu_);
-  stats_ = std::move(stats);
+  if (options.stats_out != nullptr) *options.stats_out = std::move(stats);
   return result;
-}
-
-Result<table::Table> FederatedEngine::Query(std::string_view sql,
-                                            bool enable_pushdown) {
-  QueryOptions options;
-  options.enable_pushdown = enable_pushdown;
-  return Query(sql, options);
-}
-
-FederationStats FederatedEngine::last_stats() const {
-  MutexLock lock(mu_);
-  return stats_;
 }
 
 CircuitBreaker::State FederatedEngine::breaker_state(
@@ -279,82 +194,6 @@ CircuitBreaker::State FederatedEngine::breaker_state(
   auto it = breakers_.find(dataset);
   return it == breakers_.end() ? CircuitBreaker::State::kClosed
                                : it->second->state();
-}
-
-Result<table::Table> FederatedEngine::QueryImpl(std::string_view sql,
-                                                const QueryOptions& options,
-                                                FederationStats* stats) const {
-  const ExecOptions exec = MakeExecOptions(options);
-  LAKEKIT_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSql(sql));
-
-  // Decompose the WHERE clause into conjuncts and classify them by which
-  // source covers them.
-  std::vector<ExprPtr> conjuncts;
-  SplitConjuncts(stmt.where, &conjuncts);
-
-  // Read each source exactly once; conjunct classification uses the schema
-  // of the same table the scan filters, so there is no separate probe read.
-  LAKEKIT_ASSIGN_OR_RETURN(ScannedSource from_data,
-                           ReadDegradable(stmt.from_table, options, stats));
-  const table::Schema& from_schema = from_data.table().schema();
-  ScannedSource join_data;
-  table::Schema join_schema;
-  if (stmt.join_table) {
-    LAKEKIT_ASSIGN_OR_RETURN(
-        join_data, ReadDegradable(*stmt.join_table, options, stats));
-    join_schema = join_data.table().schema();
-  }
-
-  std::vector<ExprPtr> from_push;
-  std::vector<ExprPtr> join_push;
-  std::vector<ExprPtr> residual;
-  for (const ExprPtr& c : conjuncts) {
-    if (options.enable_pushdown && CoveredBy(*c, from_schema)) {
-      from_push.push_back(c);
-    } else if (options.enable_pushdown && stmt.join_table &&
-               CoveredBy(*c, join_schema)) {
-      join_push.push_back(c);
-    } else {
-      residual.push_back(c);
-    }
-  }
-  stats->pushed_conjuncts = from_push.size() + join_push.size();
-  stats->residual_conjuncts = residual.size();
-
-  // Source-side filtering of the already-read tables.
-  ExprPtr from_pred = CombineConjuncts(from_push);
-  LAKEKIT_ASSIGN_OR_RETURN(
-      table::Table current,
-      FilterScanned(std::move(from_data), from_pred ? from_pred.get() : nullptr,
-                    stats, exec));
-  if (stmt.join_table) {
-    ExprPtr join_pred = CombineConjuncts(join_push);
-    LAKEKIT_ASSIGN_OR_RETURN(
-        table::Table right,
-        FilterScanned(std::move(join_data),
-                      join_pred ? join_pred.get() : nullptr, stats, exec));
-    stats->join_input_rows = current.num_rows() + right.num_rows();
-    LAKEKIT_ASSIGN_OR_RETURN(
-        current, HashJoin(current, right, stmt.join_left_col,
-                          stmt.join_right_col, JoinType::kInner, exec));
-  }
-
-  // Residual filtering + the rest of the plan at the mediator.
-  ExprPtr residual_pred = CombineConjuncts(residual);
-  if (residual_pred) {
-    LAKEKIT_ASSIGN_OR_RETURN(current, Filter(current, *residual_pred, exec));
-  }
-  SelectStatement tail = stmt;
-  tail.where = nullptr;  // already applied
-  tail.from_table = "__current__";
-  tail.join_table.reset();
-  return ExecuteSelect(
-      tail,
-      [&](const std::string& name) -> Result<table::Table> {
-        if (name == "__current__") return current;
-        return Status::NotFound("unexpected table '" + name + "'");
-      },
-      exec);
 }
 
 }  // namespace lakekit::query

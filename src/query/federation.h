@@ -7,7 +7,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/cancellation.h"
 #include "common/circuit_breaker.h"
@@ -24,52 +23,6 @@
 #include "storage/polystore.h"
 
 namespace lakekit::query {
-
-/// One source that could not be scanned during a best-effort query.
-struct SourceFailure {
-  std::string dataset;
-  Status status;
-};
-
-/// Per-query execution statistics demonstrating the effect of predicate
-/// pushdown (Constance pushes selections to the sources to "reduce the
-/// amount of data to be loaded", survey Sec. 6.3/7.2) and, since the
-/// resilience layer, of retries / circuit breaking / degradation.
-struct FederationStats {
-  /// Source scans issued — one per source per query: conjunct
-  /// classification reuses the scanned table's schema instead of issuing a
-  /// separate probe read. (Retries of a failing scan are counted in
-  /// `retries`, not here.)
-  size_t source_reads = 0;
-  /// Rows read from the underlying stores.
-  size_t rows_scanned = 0;
-  /// Rows shipped from the sources to the mediator.
-  size_t rows_shipped = 0;
-  /// Rows fed into the join (both sides).
-  size_t join_input_rows = 0;
-  /// Conjuncts pushed to sources.
-  size_t pushed_conjuncts = 0;
-  /// Conjuncts evaluated at the mediator.
-  size_t residual_conjuncts = 0;
-  /// Retry attempts beyond each scan's first, summed over sources.
-  size_t retries = 0;
-  /// Scan attempts rejected by an open/half-open circuit breaker.
-  size_t breaker_rejections = 0;
-  /// Cache-enabled engines only (FederatedEngineOptions::table_cache).
-  /// A hit serves the decoded table from the cache: no source read, no
-  /// retry, and the breaker is never consulted. A miss reads the source
-  /// (counted in `source_reads` as usual) and admits the decoded result.
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
-  /// Morsels skipped outright by zone-map statistics during source-side
-  /// filtering (cache-enabled scans with a pushed predicate only).
-  size_t morsels_pruned = 0;
-  /// Best-effort only: true when at least one source was degraded to an
-  /// empty (schema-valid) table instead of failing the query.
-  bool partial = false;
-  /// The degraded sources and why each failed. Empty unless `partial`.
-  std::vector<SourceFailure> failed_sources;
-};
 
 /// What a query does when a source stays down after retries.
 enum class DegradationMode {
@@ -94,17 +47,15 @@ struct QueryOptions {
   /// Absolute budget for the whole query: source scans (including their
   /// retry backoff), joins, and mediator-side operators all observe it at
   /// morsel granularity. Expiry surfaces as kDeadlineExceeded.
-  Deadline deadline;
+  Deadline deadline{};
   /// Cooperative cancellation, observed at the same points as `deadline`.
-  CancelToken cancel;
+  CancelToken cancel{};
   DegradationMode degradation = DegradationMode::kStrict;
   /// Pool the vectorized operators run on; nullptr: the process default.
   ThreadPool* pool = nullptr;
-  /// Where this query's statistics are written when it finishes —
-  /// equivalent to Query's `stats` parameter but usable from call sites
-  /// that only plumb QueryOptions. Unlike `last_stats()` there is no
-  /// last-writer-wins ambiguity: each concurrent caller points this at its
-  /// own struct. nullptr: not reported this way.
+  /// Where this query's statistics are written when it finishes, whether
+  /// it succeeded or not — the engine's only stats sink. Each concurrent
+  /// caller points this at its own struct. nullptr: not reported.
   FederationStats* stats_out = nullptr;
   /// Memory account this query's operators charge (see ExecOptions::budget).
   /// Normally left null: the engine creates a per-query child of its
@@ -153,28 +104,6 @@ struct FederatedEngineOptions {
   AdmissionController* admission = nullptr;
 };
 
-/// The product of one resilient scan: a decoded table this query owns (cold
-/// read, or degraded empty substitute) or a pinned reference into the shared
-/// TableCache (warm read). `zones()` is non-null only for cached tables —
-/// zone maps are built at cache admission, so only cached scans prune.
-struct ScannedSource {
-  table::Table owned;
-  TableCache::Entry cached;  // when non-empty, `owned` is unused
-
-  const table::Table& table() const {
-    return cached ? cached->table : owned;
-  }
-  const ZoneMap* zones() const { return cached ? &cached->zones : nullptr; }
-
-  /// An owned table: moved out when this query owns it, copied when it is
-  /// shared through the cache (the cache's copy stays pinned until this
-  /// ScannedSource dies).
-  table::Table TakeOrCopy() && {
-    if (cached) return cached->table;
-    return std::move(owned);
-  }
-};
-
 /// A federated query engine over the polystore — the Constance /
 /// Ontario / Squerall pattern (survey Sec. 7.2): one SQL interface, query
 /// decomposition per source, per-source predicate pushdown, and mediator-
@@ -196,39 +125,20 @@ class FederatedEngine {
                            FederatedEngineOptions options = {});
 
   /// Runs a SQL query whose FROM/JOIN tables are registered datasets,
-  /// under `options`' deadline/cancellation/degradation. With an engine
-  /// AdmissionController the query first acquires a slot (and may be shed
-  /// with kUnavailable); with an engine MemoryBudget it runs under a
+  /// under `options`' deadline/cancellation/degradation, through
+  /// ExecuteSelect with this engine's resilient scan as its source. With an
+  /// engine AdmissionController the query first acquires a slot (and may be
+  /// shed with kUnavailable); with an engine MemoryBudget it runs under a
   /// per-query reservation and fails with kResourceExhausted rather than
-  /// exceed it. When `stats` (or `options.stats_out`) is non-null the
-  /// query's statistics are copied there; `last_stats()` also reports them
-  /// afterwards (last writer wins under concurrency — concurrent callers
-  /// should use one of the per-call sinks).
-  Result<table::Table> Query(std::string_view sql, const QueryOptions& options,
-                             FederationStats* stats = nullptr);
-
-  /// Legacy entry point: default QueryOptions with `enable_pushdown`.
-  Result<table::Table> Query(std::string_view sql, bool enable_pushdown = true);
-
-  /// Scans one dataset with an optional source-side predicate, through the
-  /// retry policy and the dataset's circuit breaker. Accounts into
-  /// `stats` (caller-owned; may be nullptr).
-  Result<table::Table> Scan(const std::string& dataset, const Expr* predicate,
-                            FederationStats* stats,
-                            const QueryOptions& options = {}) const;
-
-  /// Statistics of the most recently completed Query (by value: the
-  /// snapshot is taken under the engine lock).
-  FederationStats last_stats() const;
+  /// exceed it.
+  Result<table::Table> Query(std::string_view sql,
+                             const QueryOptions& options = {});
 
   /// The dataset's breaker state; kClosed when it has never tripped (or
   /// never been scanned).
   CircuitBreaker::State breaker_state(const std::string& dataset) const;
 
  private:
-  Result<table::Table> QueryImpl(std::string_view sql,
-                                 const QueryOptions& options,
-                                 FederationStats* stats) const;
   /// One resilient source read: consults the table cache first (a hit
   /// returns the pinned entry without touching breaker or source), then
   /// pre-checks cancel/deadline and runs the breaker-gated read under the
@@ -253,7 +163,6 @@ class FederatedEngine {
   FederatedEngineOptions options_;
 
   mutable Mutex mu_;
-  FederationStats stats_ LAKEKIT_GUARDED_BY(mu_);
   /// Breakers are created on first scan of a dataset and never removed, so
   /// the pointers BreakerFor hands out stay valid for the engine's life.
   mutable std::map<std::string, std::unique_ptr<CircuitBreaker>, std::less<>>
@@ -263,12 +172,6 @@ class FederatedEngine {
   mutable std::map<std::string, table::Schema, std::less<>> schema_cache_
       LAKEKIT_GUARDED_BY(mu_);
 };
-
-/// Splits a predicate into its top-level AND conjuncts.
-void SplitConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out);
-
-/// Reassembles conjuncts with AND; nullptr for an empty list.
-ExprPtr CombineConjuncts(const std::vector<ExprPtr>& conjuncts);
 
 }  // namespace lakekit::query
 

@@ -34,10 +34,10 @@ struct ExecOptions {
   /// finishes at most one in-flight morsel per worker (≈kMorselSize rows)
   /// before the operator returns the token's status. Default: never
   /// cancelled.
-  CancelToken cancel;
+  CancelToken cancel{};
   /// Deadline, checked at the same per-morsel granularity; expiry surfaces
   /// as kDeadlineExceeded. Default: infinite.
-  Deadline deadline;
+  Deadline deadline{};
   /// Memory accounting for the big intermediate-state consumers — the
   /// HashJoin build side and match lists, Aggregate's group index and
   /// partials, Sort's key buffers, and materialized outputs. Each morsel

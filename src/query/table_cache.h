@@ -26,13 +26,14 @@ struct TableCacheOptions {
   /// 0 = pick from hardware concurrency (see common/lru_cache.h).
   size_t shards = 0;
   /// When set, the cache's bytes are a child reservation of this process
-  /// budget (DESIGN.md §10): admissions reserve against it, evictions and
-  /// capacity pressure credit it back, so the cache and in-flight queries
-  /// trade off inside one process-level number. An admission the budget
-  /// refuses is *declined* — the table simply is not cached — never an
-  /// error: caching is an optimization, overload protection is not.
-  /// Must outlive the cache. nullptr: the cache only enforces its own
-  /// `capacity_bytes`, exactly the pre-budget behavior.
+  /// budget (DESIGN.md §10): admissions reserve against it, evictions
+  /// credit it back, so the cache and in-flight queries trade off inside
+  /// one process-level number. `capacity_bytes` stays the LRU's job alone:
+  /// the reservation has no cap of its own, which would refuse admissions
+  /// before the LRU could evict. An admission the budget refuses is
+  /// *declined* — the table simply is not cached — never an error: caching
+  /// is an optimization, overload protection is not. Must outlive the
+  /// cache. nullptr: the cache only enforces its own `capacity_bytes`.
   MemoryBudget* process_budget = nullptr;
 };
 
@@ -51,7 +52,7 @@ class TableCache {
   using Entry = LruCache<std::string, CachedTable>::Handle;
 
   explicit TableCache(const TableCacheOptions& options = {})
-      : account_(options.process_budget, options.capacity_bytes),
+      : account_(options.process_budget),
         cache_(options.capacity_bytes, options.shards) {
     if (account_.attached()) {
       // Evictions run under a shard lock; the credit is two relaxed

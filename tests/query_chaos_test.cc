@@ -115,8 +115,7 @@ TEST(QueryChaosTest, CancelledQueryReturnsTheCause) {
 
   QueryOptions options;
   options.cancel = source.token();
-  FederationStats stats;
-  auto out = rig.engine->Query(kJoinSql, options, &stats);
+  auto out = rig.engine->Query(kJoinSql, options);
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsAborted());
   EXPECT_EQ(out.status().message(), "cancelled");
@@ -179,8 +178,8 @@ TEST(QueryChaosTest, BreakersOpenUnderFaultsAndRecover) {
   // Three injected failures trip the breaker mid-retry; the fourth attempt
   // is rejected by the open breaker without touching the source.
   FederationStats stats;
-  auto out =
-      rig.engine->Query("SELECT country FROM cities", QueryOptions{}, &stats);
+  const QueryOptions options{.stats_out = &stats};
+  auto out = rig.engine->Query("SELECT country FROM cities", options);
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsUnavailable());
   EXPECT_EQ(rig.engine->breaker_state("cities"), CircuitBreaker::State::kOpen);
@@ -189,7 +188,7 @@ TEST(QueryChaosTest, BreakersOpenUnderFaultsAndRecover) {
   EXPECT_EQ(stats.breaker_rejections, 1u);
 
   // While open, queries fail fast: zero additional source reads.
-  out = rig.engine->Query("SELECT country FROM cities", QueryOptions{}, &stats);
+  out = rig.engine->Query("SELECT country FROM cities", options);
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsUnavailable());
   EXPECT_EQ(rig.flaky->reads("cities"), 3u);
@@ -198,7 +197,7 @@ TEST(QueryChaosTest, BreakersOpenUnderFaultsAndRecover) {
   // Cooldown served: the next query's first attempt is the half-open
   // probe; the source is healthy again, so the probe closes the breaker.
   rig.clock.Advance(milliseconds(1000));
-  out = rig.engine->Query("SELECT country FROM cities", QueryOptions{}, &stats);
+  out = rig.engine->Query("SELECT country FROM cities", options);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(rig.engine->breaker_state("cities"),
             CircuitBreaker::State::kClosed);
@@ -245,7 +244,8 @@ TEST(QueryChaosTest, BestEffortDegradesDeadSourceToPartialResults) {
   QueryOptions options;
   options.degradation = DegradationMode::kBestEffort;
   FederationStats stats;
-  auto partial = rig.engine->Query(kJoinSql, options, &stats);
+  options.stats_out = &stats;
+  auto partial = rig.engine->Query(kJoinSql, options);
   ASSERT_TRUE(partial.ok());
   EXPECT_EQ(partial->num_rows(), 0u);  // inner join against an empty side
   EXPECT_TRUE(partial->schema().HasField("name"));
@@ -296,7 +296,8 @@ TEST(QueryChaosTest, ConcurrentQueriesDontRace) {
         QueryOptions options;
         options.enable_pushdown = (q % 2 == 0);
         FederationStats stats;
-        auto out = rig.engine->Query(kJoinSql, options, &stats);
+        options.stats_out = &stats;
+        auto out = rig.engine->Query(kJoinSql, options);
         if (!out.ok()) {
           failures[t] = out.status();
           return;
@@ -307,9 +308,6 @@ TEST(QueryChaosTest, ConcurrentQueriesDontRace) {
           failures[t] = Status::Internal("torn stats");
           return;
         }
-        // last_stats() takes the engine lock: safe to poke concurrently
-        // (last writer wins, but the snapshot is always consistent).
-        (void)rig.engine->last_stats().source_reads;  // ignore: probe only
       }
     });
   }
@@ -336,8 +334,7 @@ TEST(QueryChaosTest, ConcurrentQueriesAgainstAFlakySourceStayConsistent) {
         QueryOptions options;
         options.degradation = (t % 2 == 0) ? DegradationMode::kBestEffort
                                            : DegradationMode::kStrict;
-        FederationStats stats;
-        auto out = rig.engine->Query(kJoinSql, options, &stats);
+        auto out = rig.engine->Query(kJoinSql, options);
         // Strict queries may fail kUnavailable (injected or breaker);
         // best-effort queries must succeed (schema is cached). Anything
         // else is a bug.
@@ -405,7 +402,8 @@ TEST(QueryChaosTest, RandomFaultSchedulesUpholdResilienceContract) {
             Deadline::After(milliseconds(budget_ms), &rig.clock);
       }
       FederationStats stats;
-      auto out = rig.engine->Query(kJoinSql, options, &stats);
+      options.stats_out = &stats;
+      auto out = rig.engine->Query(kJoinSql, options);
 
       // Invariant 1: only the contract's status codes surface.
       if (!out.ok()) {

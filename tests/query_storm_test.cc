@@ -175,11 +175,12 @@ TEST(QueryStormTest, BestEffortDegradesInsteadOfFailingOnExhaustion) {
   QueryOptions best_effort;
   best_effort.degradation = DegradationMode::kBestEffort;
   FederationStats stats;
+  best_effort.stats_out = &stats;
   // Degradation needs a last-known schema; the strict attempt above never
   // cached one (the read itself failed at the budget, after the source
   // replied — so the schema IS cached). See ReadSource: schema is recorded
   // from the successful source read before the charge.
-  auto degraded = rig.engine->Query(kLightSql, best_effort, &stats);
+  auto degraded = rig.engine->Query(kLightSql, best_effort);
   LAKEKIT_CHECK_OK(degraded.status());
   EXPECT_EQ(degraded->num_rows(), 0u);
   EXPECT_TRUE(stats.partial);
@@ -230,9 +231,10 @@ TEST(QueryStormTest, CancelledWhileQueuedDoesNoWork) {
   QueryOptions options;
   options.cancel = cancel.token();
   FederationStats stats;
+  options.stats_out = &stats;
   Status queued_status;
   std::thread waiter([&] {
-    queued_status = rig.engine->Query(kLightSql, options, &stats).status();
+    queued_status = rig.engine->Query(kLightSql, options).status();
   });
   WaitUntil([&] { return rig.admission->queue_depth() == 1; });
   cancel.Cancel();
@@ -271,8 +273,8 @@ TEST(QueryStormTest, ConcurrentStormUpholdsOverloadInvariants) {
           const char* sql =
               (t + i) % 3 == 0 ? kHeavySql : ((t + i) % 3 == 1 ? kAggSql
                                                                : kLightSql);
-          // The stats_out satellite: each concurrent caller points the
-          // per-query sink at its own struct — no last-writer races.
+          // Each concurrent caller points the per-query sink at its own
+          // struct — no last-writer races.
           FederationStats stats;
           QueryOptions options;
           options.stats_out = &stats;
@@ -337,7 +339,7 @@ TEST(QueryStormTest, CacheAndQueriesShareOneProcessBudget) {
   // Miss: the scan admits the decoded table into the cache, whose account
   // charges the shared process budget.
   FederationStats first;
-  LAKEKIT_CHECK_OK(engine.Query(kLightSql, QueryOptions{}, &first).status());
+  LAKEKIT_CHECK_OK(engine.Query(kLightSql, QueryOptions{.stats_out = &first}));
   EXPECT_EQ(first.cache_misses, 1u);
   EXPECT_GE(cache.account().used(), t_bytes);
   EXPECT_EQ(budget.used(), cache.account().used());
@@ -346,7 +348,7 @@ TEST(QueryStormTest, CacheAndQueriesShareOneProcessBudget) {
   // for the table, so process usage is unchanged after it settles.
   const size_t after_miss = budget.used();
   FederationStats second;
-  LAKEKIT_CHECK_OK(engine.Query(kLightSql, QueryOptions{}, &second).status());
+  LAKEKIT_CHECK_OK(engine.Query(kLightSql, QueryOptions{.stats_out = &second}));
   EXPECT_EQ(second.cache_hits, 1u);
   EXPECT_EQ(budget.used(), after_miss);
   EXPECT_LE(budget.peak_used(), budget.capacity());

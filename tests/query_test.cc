@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <string>
+#include <string_view>
 
 #include "json/parser.h"
 #include "query/expr.h"
 #include "query/federation.h"
 #include "query/operators.h"
+#include "query/source.h"
 #include "query/sql.h"
 #include "storage/polystore.h"
 
@@ -286,12 +290,139 @@ TEST(SqlTest, ParseErrors) {
   EXPECT_FALSE(ParseSql("SELECT * FROM t garbage").ok());
   EXPECT_FALSE(ParseSql("SELECT SUM(*) FROM t").ok());
   EXPECT_FALSE(ParseSql("").ok());
+  // LIMIT takes a non-negative integer that fits a size_t.
+  for (const char* sql : {"SELECT * FROM t LIMIT 99999999999999999999999",
+                          "SELECT * FROM t LIMIT -1",
+                          "SELECT * FROM t LIMIT 1.5"}) {
+    EXPECT_TRUE(ParseSql(sql).status().IsInvalidArgument()) << sql;
+  }
+  EXPECT_EQ(*ParseSql("SELECT * FROM t LIMIT 18446744073709551615")->limit,
+            SIZE_MAX);
 }
 
 TEST(SqlTest, UnknownTableAndColumn) {
   EXPECT_FALSE(RunSql("SELECT * FROM ghost", FixtureResolver()).ok());
   EXPECT_FALSE(
       RunSql("SELECT ghost FROM people", FixtureResolver()).ok());
+}
+
+/// The SqlTest fixture tables as a federated engine's source.
+class FixtureSource : public TableSource {
+ public:
+  Result<Table> ReadAsTable(std::string_view name) override {
+    return FixtureResolver()(std::string(name));
+  }
+};
+
+TEST(SqlTest, RunSqlMatchesFederatedEngine) {
+  FixtureSource source;
+  FederatedEngine engine(&source);
+  // Every conjunct here pushes to the source whose columns it names; the
+  // last join pushes to both sides.
+  const std::string both_sides =
+      "SELECT name, country FROM people JOIN cities ON people.city = "
+      "cities.city WHERE country = 'NL' AND age > 30 AND name != 'ada'";
+  for (const std::string& sql : {
+           std::string("SELECT * FROM people"),
+           std::string("SELECT name FROM people WHERE city = 'delft' AND "
+                       "age > 30"),
+           std::string("SELECT name FROM people WHERE city = 'leiden' OR "
+                       "city = 'delft' AND age < 30"),
+           std::string("SELECT name FROM people WHERE age IS NULL"),
+           std::string("SELECT name FROM people WHERE age IS NOT NULL"),
+           std::string("SELECT name, country FROM people JOIN cities ON "
+                       "people.city = cities.city WHERE country = 'NL' "
+                       "ORDER BY name"),
+           std::string("SELECT city, COUNT(*) AS n, AVG(age) AS mean_age "
+                       "FROM people GROUP BY city ORDER BY n DESC"),
+           std::string("SELECT name FROM people ORDER BY age DESC LIMIT 2"),
+           std::string("SELECT name FROM people WHERE age * 2 > 80"),
+           both_sides}) {
+    Result<Table> direct = RunSql(sql, FixtureResolver());
+    FederationStats stats;
+    Result<Table> federated =
+        engine.Query(sql, QueryOptions{.stats_out = &stats});
+    ASSERT_TRUE(direct.ok()) << sql << ": " << direct.status().ToString();
+    ASSERT_TRUE(federated.ok()) << sql;
+    EXPECT_TRUE(*direct == *federated) << sql;
+    EXPECT_EQ(stats.residual_conjuncts, 0u) << sql;
+    if (sql == both_sides) {
+      EXPECT_EQ(stats.pushed_conjuncts, 3u);
+      EXPECT_EQ(federated->num_rows(), 1u);  // bob
+    }
+  }
+}
+
+std::string Repeat(std::string_view unit, size_t n) {
+  std::string out;
+  out.reserve(unit.size() * n);
+  for (size_t i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+TEST(SqlTest, DeepExpressionsAreInvalidArgument) {
+  FixtureSource source;
+  FederatedEngine engine(&source);
+  const std::string select = "SELECT name FROM people WHERE ";
+  // Far past the limit, any recursion over these shapes would overflow the
+  // stack: the first two while parsing, the flat chains while compiling or
+  // evaluating them.
+  const std::string shapes[] = {
+      select + std::string(5000, '(') + "age > 30" + std::string(5000, ')'),
+      select + Repeat("NOT ", 200000) + "age > 30",
+      select + "age > 30" + Repeat(" AND age > 30", 10000),
+      select + "age" + Repeat(" + 1", 10000) + " > 30",
+  };
+  for (const std::string& sql : shapes) {
+    SCOPED_TRACE(sql.substr(0, 48));
+    EXPECT_TRUE(ParseSql(sql).status().IsInvalidArgument());
+    EXPECT_TRUE(RunSql(sql, FixtureResolver()).status().IsInvalidArgument());
+    EXPECT_TRUE(engine.Query(sql).status().IsInvalidArgument());
+  }
+  // A bushy WHERE within the depth limit whose conjuncts would be rebuilt
+  // into a chain deeper than it.
+  const std::string group =
+      "(age > 30" + Repeat(" AND age > 30", kMaxExprDepth / 2) + ")";
+  const std::string bushy = select + group + " AND " + group + " AND " + group;
+  ASSERT_TRUE(ParseSql(bushy).ok());
+  EXPECT_TRUE(RunSql(bushy, FixtureResolver()).status().IsInvalidArgument());
+  EXPECT_TRUE(engine.Query(bushy).status().IsInvalidArgument());
+}
+
+TEST(SqlTest, ExpressionsAtTheDepthLimitRun) {
+  FixtureSource source;
+  FederatedEngine engine(&source);
+  const std::string select = "SELECT name FROM people WHERE ";
+  // `age > 30` is two deep; each NOT, AND or + adds one level.
+  static_assert(kMaxExprDepth % 2 == 0, "the NOT chain must cancel out");
+  const std::string at_limit[] = {
+      select + Repeat("NOT ", kMaxExprDepth - 2) + "age > 30",
+      select + "age > 30" + Repeat(" AND age > 30", kMaxExprDepth - 2),
+      select + "age" + Repeat(" + 0", kMaxExprDepth - 2) + " > 30",
+      select + std::string(kMaxExprDepth, '(') + "age > 30" +
+          std::string(kMaxExprDepth, ')'),
+  };
+  for (const std::string& sql : at_limit) {
+    SCOPED_TRACE(sql.substr(0, 48));
+    Result<Table> direct = RunSql(sql, FixtureResolver());
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(direct->num_rows(), 2u);  // ada, bob
+    Result<Table> federated = engine.Query(sql);
+    ASSERT_TRUE(federated.ok()) << federated.status().ToString();
+    EXPECT_TRUE(*direct == *federated);
+  }
+  // One level more is refused.
+  const std::string too_deep[] = {
+      select + Repeat("NOT ", kMaxExprDepth - 1) + "age > 30",
+      select + "age > 30" + Repeat(" AND age > 30", kMaxExprDepth - 1),
+      select + "age" + Repeat(" + 0", kMaxExprDepth - 1) + " > 30",
+      select + std::string(kMaxExprDepth + 1, '(') + "age > 30" +
+          std::string(kMaxExprDepth + 1, ')'),
+  };
+  for (const std::string& sql : too_deep) {
+    SCOPED_TRACE(sql.substr(0, 48));
+    EXPECT_TRUE(ParseSql(sql).status().IsInvalidArgument());
+  }
 }
 
 // ---------------------------------------------------------------- federated
@@ -344,13 +475,15 @@ TEST_F(FederationTest, ObjectStoreDatasetQueryable) {
 
 TEST_F(FederationTest, PushdownReducesShippedRows) {
   FederatedEngine engine(polystore_.get());
-  auto with = engine.Query("SELECT name FROM people WHERE city = 'delft'");
+  FederationStats pushed;
+  auto with = engine.Query("SELECT name FROM people WHERE city = 'delft'",
+                           QueryOptions{.stats_out = &pushed});
   ASSERT_TRUE(with.ok());
-  FederationStats pushed = engine.last_stats();
-  auto without = engine.Query("SELECT name FROM people WHERE city = 'delft'",
-                              /*enable_pushdown=*/false);
+  FederationStats unpushed;
+  auto without = engine.Query(
+      "SELECT name FROM people WHERE city = 'delft'",
+      QueryOptions{.enable_pushdown = false, .stats_out = &unpushed});
   ASSERT_TRUE(without.ok());
-  FederationStats unpushed = engine.last_stats();
   EXPECT_EQ(with->num_rows(), without->num_rows());
   EXPECT_EQ(pushed.pushed_conjuncts, 1u);
   EXPECT_EQ(unpushed.pushed_conjuncts, 0u);
@@ -361,17 +494,23 @@ TEST_F(FederationTest, EachSourceReadExactlyOnce) {
   FederatedEngine engine(polystore_.get());
   // Join query: one polystore read per source (no separate schema-probe
   // read), and rows_scanned counts each source's rows exactly once.
+  FederationStats join;
   ASSERT_TRUE(engine
                   .Query("SELECT name, country FROM people JOIN cities ON "
-                         "people.city = cities.city WHERE country = 'NL'")
+                         "people.city = cities.city WHERE country = 'NL'",
+                         QueryOptions{.stats_out = &join})
                   .ok());
-  EXPECT_EQ(engine.last_stats().source_reads, 2u);
-  EXPECT_EQ(engine.last_stats().rows_scanned, 7u);  // 4 people + 3 cities
+  EXPECT_EQ(join.source_reads, 2u);
+  EXPECT_EQ(join.rows_scanned, 7u);  // 4 people + 3 cities
 
   // Single-source query: one read.
-  ASSERT_TRUE(engine.Query("SELECT name FROM people WHERE age > 30").ok());
-  EXPECT_EQ(engine.last_stats().source_reads, 1u);
-  EXPECT_EQ(engine.last_stats().rows_scanned, 4u);
+  FederationStats single;
+  ASSERT_TRUE(engine
+                  .Query("SELECT name FROM people WHERE age > 30",
+                         QueryOptions{.stats_out = &single})
+                  .ok());
+  EXPECT_EQ(single.source_reads, 1u);
+  EXPECT_EQ(single.rows_scanned, 4u);
 }
 
 TEST_F(FederationTest, PushdownShrinksJoinInputs) {
@@ -379,11 +518,15 @@ TEST_F(FederationTest, PushdownShrinksJoinInputs) {
   const std::string sql =
       "SELECT name FROM people JOIN cities ON people.city = cities.city "
       "WHERE country = 'NL' AND age > 30";
-  ASSERT_TRUE(engine.Query(sql).ok());
-  size_t join_with = engine.last_stats().join_input_rows;
-  ASSERT_TRUE(engine.Query(sql, /*enable_pushdown=*/false).ok());
-  size_t join_without = engine.last_stats().join_input_rows;
-  EXPECT_LT(join_with, join_without);
+  FederationStats with;
+  ASSERT_TRUE(engine.Query(sql, QueryOptions{.stats_out = &with}).ok());
+  FederationStats without;
+  ASSERT_TRUE(
+      engine
+          .Query(sql, QueryOptions{.enable_pushdown = false,
+                                   .stats_out = &without})
+          .ok());
+  EXPECT_LT(with.join_input_rows, without.join_input_rows);
 }
 
 TEST(ConjunctsTest, SplitAndCombine) {

@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/memory_budget.h"
 #include "query/federation.h"
 #include "query/source.h"
+#include "query/zone_map.h"
 #include "storage/polystore.h"
 #include "table/table.h"
 
@@ -120,6 +122,29 @@ TEST(TableCacheTest, ChargeIsBoundedByCapacity) {
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 
+TEST(TableCacheTest, FullBudgetedCacheEvictsRatherThanDeclining) {
+  // One shard with room for four entries, under a process budget a hundred
+  // times its capacity. Capacity is the LRU's to enforce: twenty
+  // generations of one dataset are all admitted and the dead ones evicted,
+  // rather than admissions being declined once the shard is full.
+  const size_t entry = table::EstimateTableBytes(People()) +
+                       ZoneMap::Build(People()).memory_bytes();
+  TableCacheOptions options;
+  options.capacity_bytes = 4 * entry + entry / 2;
+  options.shards = 1;
+  MemoryBudget budget(100 * options.capacity_bytes);
+  options.process_budget = &budget;
+  TableCache cache(options);
+  size_t admitted = 0;
+  for (uint64_t generation = 1; generation <= 20; ++generation) {
+    if (cache.Put("people", generation, People())) ++admitted;
+  }
+  EXPECT_EQ(admitted, 20u);
+  EXPECT_EQ(cache.stats().evictions, 16u);
+  EXPECT_LE(cache.stats().charge, options.capacity_bytes);
+  EXPECT_EQ(budget.used(), cache.account().used());
+}
+
 TEST_F(PolystoreGenerationTest, StoreAndBumpAdvanceGeneration) {
   auto opened = Polystore::Open(Path("lake"));
   ASSERT_TRUE(opened.ok());
@@ -173,14 +198,14 @@ constexpr const char* kPeopleSql = "SELECT name FROM people WHERE age > 30";
 TEST(FederatedCacheTest, WarmScanSkipsSourceRead) {
   CachedRig rig;
   FederationStats cold;
-  Result<Table> r1 = rig.engine->Query(kPeopleSql, {}, &cold);
+  Result<Table> r1 = rig.engine->Query(kPeopleSql, {.stats_out = &cold});
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_EQ(cold.cache_misses, 1u);
   EXPECT_EQ(rig.flaky->reads("people"), 1u);
 
   FederationStats warm;
-  Result<Table> r2 = rig.engine->Query(kPeopleSql, {}, &warm);
+  Result<Table> r2 = rig.engine->Query(kPeopleSql, {.stats_out = &warm});
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(warm.cache_hits, 1u);
   EXPECT_EQ(warm.cache_misses, 0u);
@@ -191,9 +216,24 @@ TEST(FederatedCacheTest, WarmScanSkipsSourceRead) {
   EXPECT_TRUE(*r1 == *r2);
 }
 
+TEST(FederatedCacheTest, WarmSelectStarCopiesOutOfThePinnedEntry) {
+  CachedRig rig;
+  ASSERT_TRUE(rig.engine->Query("SELECT * FROM people").ok());  // warm
+  // The result is the cached table itself: each query gets its own copy
+  // and the entry stays intact for the next one.
+  for (int i = 0; i < 2; ++i) {
+    FederationStats stats;
+    Result<Table> r =
+        rig.engine->Query("SELECT * FROM people", {.stats_out = &stats});
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(stats.cache_hits, 1u);
+    EXPECT_TRUE(*r == People());
+  }
+}
+
 TEST(FederatedCacheTest, CacheHitBypassesBreakerAndFaults) {
   CachedRig rig;
-  ASSERT_TRUE(rig.engine->Query(kPeopleSql, {}, nullptr).ok());  // warm
+  ASSERT_TRUE(rig.engine->Query(kPeopleSql).ok());  // warm
   // Every future read of the source fails hard. A cache-served query must
   // neither fail nor trip the breaker, because no read is ever admitted.
   SourceFaultProfile profile;
@@ -201,7 +241,7 @@ TEST(FederatedCacheTest, CacheHitBypassesBreakerAndFaults) {
   rig.flaky->SetProfile("people", profile);
   for (int i = 0; i < 5; ++i) {
     FederationStats stats;
-    Result<Table> r = rig.engine->Query(kPeopleSql, {}, &stats);
+    Result<Table> r = rig.engine->Query(kPeopleSql, {.stats_out = &stats});
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(stats.cache_hits, 1u);
     EXPECT_EQ(stats.breaker_rejections, 0u);
@@ -214,7 +254,7 @@ TEST(FederatedCacheTest, CacheHitBypassesBreakerAndFaults) {
 TEST(FederatedCacheTest, WriteInvalidatesCachedScan) {
   CachedRig rig;
   FederationStats cold;
-  ASSERT_TRUE(rig.engine->Query(kPeopleSql, {}, &cold).ok());
+  ASSERT_TRUE(rig.engine->Query(kPeopleSql, {.stats_out = &cold}).ok());
   EXPECT_EQ(cold.cache_misses, 1u);
 
   // Overwrite the dataset: the generation bump makes the old entry
@@ -223,7 +263,7 @@ TEST(FederatedCacheTest, WriteInvalidatesCachedScan) {
                                "id,name,age,city\n9,zoe,52,delft\n");
   rig.source.Set("people", std::move(next));
   FederationStats stats;
-  Result<Table> r = rig.engine->Query(kPeopleSql, {}, &stats);
+  Result<Table> r = rig.engine->Query(kPeopleSql, {.stats_out = &stats});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_misses, 1u);
@@ -243,10 +283,10 @@ TEST_F(PolystoreGenerationTest, WriteInvalidatesThroughEngine) {
   FederatedEngine engine(&store, options);
 
   FederationStats cold;
-  ASSERT_TRUE(engine.Query(kPeopleSql, {}, &cold).ok());
+  ASSERT_TRUE(engine.Query(kPeopleSql, {.stats_out = &cold}).ok());
   EXPECT_EQ(cold.cache_misses, 1u);
   FederationStats warm;
-  ASSERT_TRUE(engine.Query(kPeopleSql, {}, &warm).ok());
+  ASSERT_TRUE(engine.Query(kPeopleSql, {.stats_out = &warm}).ok());
   EXPECT_EQ(warm.cache_hits, 1u);
 
   // Replace the backing table. ReplaceTable bypasses the polystore's
@@ -257,7 +297,7 @@ TEST_F(PolystoreGenerationTest, WriteInvalidatesThroughEngine) {
   store.BumpGeneration("people");
 
   FederationStats after;
-  Result<Table> r = engine.Query(kPeopleSql, {}, &after);
+  Result<Table> r = engine.Query(kPeopleSql, {.stats_out = &after});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(after.cache_hits, 0u);
   ASSERT_EQ(r->num_rows(), 1u);
@@ -279,7 +319,7 @@ TEST(FederatedCacheTest, SelectiveScanPrunesMorsels) {
 
   const std::string sql = "SELECT id FROM nums WHERE id = 3";
   FederationStats cold;
-  Result<Table> r = rig.engine->Query(sql, {}, &cold);
+  Result<Table> r = rig.engine->Query(sql, {.stats_out = &cold});
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->num_rows(), 1u);
   // Zones exist from admission, so even the cold scan prunes: only the
@@ -287,7 +327,7 @@ TEST(FederatedCacheTest, SelectiveScanPrunesMorsels) {
   EXPECT_EQ(cold.morsels_pruned, 4u);
 
   FederationStats warm;
-  Result<Table> r2 = rig.engine->Query(sql, {}, &warm);
+  Result<Table> r2 = rig.engine->Query(sql, {.stats_out = &warm});
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(warm.cache_hits, 1u);
   EXPECT_EQ(warm.morsels_pruned, 4u);
