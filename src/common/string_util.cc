@@ -1,7 +1,6 @@
 #include "common/string_util.h"
 
 #include <cctype>
-#include <charconv>
 
 namespace lakekit {
 
@@ -67,15 +66,6 @@ bool LooksLikeInteger(std::string_view s) {
     if (!std::isdigit(static_cast<unsigned char>(s[i]))) return false;
   }
   return true;
-}
-
-bool LooksLikeNumber(std::string_view s) {
-  if (s.empty()) return false;
-  double value = 0;
-  const char* begin = s.data();
-  const char* end = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  return ec == std::errc() && ptr == end;
 }
 
 std::string ReplaceAll(std::string s, std::string_view from,

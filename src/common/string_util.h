@@ -28,10 +28,6 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// (an optional leading '-' is allowed).
 bool LooksLikeInteger(std::string_view s);
 
-/// True if the string parses as a floating point literal (and is not an
-/// integer-looking string; use LooksLikeInteger first for int detection).
-bool LooksLikeNumber(std::string_view s);
-
 /// Replaces every occurrence of `from` in `s` with `to`.
 std::string ReplaceAll(std::string s, std::string_view from,
                        std::string_view to);

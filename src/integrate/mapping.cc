@@ -69,21 +69,15 @@ Result<IntegrationResult> IntegrateSchemas(
       } else {
         integrated_col = it->second;
         // Type widening on conflict.
-        table::Field merged = result.integrated.field(integrated_col);
-        table::DataType other = sources[s].schema().field(c).type;
-        if (merged.type != other) {
-          bool numeric_pair =
-              (merged.type == table::DataType::kInt64 &&
-               other == table::DataType::kDouble) ||
-              (merged.type == table::DataType::kDouble &&
-               other == table::DataType::kInt64);
+        const table::DataType merged =
+            result.integrated.field(integrated_col).type;
+        const table::DataType type =
+            table::WidenType(merged, sources[s].schema().field(c).type);
+        if (type != merged) {
           table::Schema widened;
           for (size_t f = 0; f < result.integrated.num_fields(); ++f) {
             table::Field field = result.integrated.field(f);
-            if (f == integrated_col) {
-              field.type = numeric_pair ? table::DataType::kDouble
-                                        : table::DataType::kString;
-            }
+            if (f == integrated_col) field.type = type;
             widened.AddField(field);
           }
           result.integrated = widened;
@@ -110,17 +104,9 @@ Result<table::Table> ApplyMappings(const std::vector<table::Table>& sources,
       std::vector<table::Value> row(integration.integrated.num_fields(),
                                     table::Value::Null());
       for (const auto& [src_col, dst_col] : mapping.column_map) {
-        table::Value v = sources[s].at(r, src_col);
-        const table::DataType want =
-            integration.integrated.field(dst_col).type;
-        if (!v.is_null() && v.type() != want) {
-          if (want == table::DataType::kDouble && v.is_int()) {
-            v = table::Value(static_cast<double>(v.as_int()));
-          } else if (want == table::DataType::kString) {
-            v = table::Value(v.ToString());
-          }
-        }
-        row[dst_col] = std::move(v);
+        row[dst_col] =
+            table::CoerceValue(sources[s].at(r, src_col),
+                               integration.integrated.field(dst_col).type);
       }
       LAKEKIT_RETURN_IF_ERROR(out.AppendRow(std::move(row)));
     }

@@ -29,8 +29,8 @@ struct IntegrationResult {
 /// Integrates the schemas of `sources`: matched columns (transitively, via
 /// union-find over pairwise matches) collapse into one integrated
 /// attribute; unmatched columns are carried over verbatim. Integrated
-/// attribute names take the first source's spelling; types widen to string
-/// on conflict.
+/// attribute names take the first source's spelling; types widen on
+/// conflict by the table widening rule (`table::WidenType`).
 Result<IntegrationResult> IntegrateSchemas(
     const std::vector<table::Table>& sources,
     const SchemaMatcher& matcher = SchemaMatcher());

@@ -108,7 +108,7 @@ Status DeltaTable::DeleteWhere(const query::Expr& predicate) {
   for (const AddFile& f : snapshot.files) {
     LAKEKIT_ASSIGN_OR_RETURN(std::string csv, store_->Get(f.path));
     LAKEKIT_ASSIGN_OR_RETURN(table::Table part,
-                             table::Table::FromCsv(name_, csv));
+                             table::Table::FromCsv(name_, csv, schema_));
     // Keep rows NOT matching the predicate.
     LAKEKIT_ASSIGN_OR_RETURN(table::Table matching,
                              query::Filter(part, predicate));
@@ -140,29 +140,12 @@ Result<table::Table> DeltaTable::Read(std::optional<int64_t> version) const {
   table::Table out(name_, schema);
   for (const AddFile& f : snapshot.files) {
     LAKEKIT_ASSIGN_OR_RETURN(std::string csv, store_->Get(f.path));
+    // Part files decode against the table's own schema, never re-sniffed:
+    // a string column of "007" reads back as "007", not 7.
     LAKEKIT_ASSIGN_OR_RETURN(table::Table part,
-                             table::Table::FromCsv(name_, csv));
-    if (part.num_columns() != schema.num_fields()) {
-      return Status::Corruption("part file '" + f.path +
-                                "' does not match table schema");
-    }
-    for (size_t r = 0; r < part.num_rows(); ++r) {
-      // Coerce part cell types to the table schema (CSV re-sniffing can
-      // narrow, e.g. an all-integral double column).
-      std::vector<table::Value> row = part.Row(r);
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (row[c].is_null()) continue;
-        const table::DataType want = schema.field(c).type;
-        if (row[c].type() != want) {
-          if (want == table::DataType::kDouble && row[c].is_int()) {
-            row[c] = table::Value(static_cast<double>(row[c].as_int()));
-          } else if (want == table::DataType::kString) {
-            row[c] = table::Value(row[c].ToString());
-          }
-        }
-      }
-      LAKEKIT_RETURN_IF_ERROR(out.AppendRow(std::move(row)));
-    }
+                             table::Table::FromCsv(name_, csv, schema));
+    LAKEKIT_RETURN_IF_ERROR(
+        out.AppendRowsFrom(part, /*rows=*/nullptr, part.num_rows()));
   }
   return out;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -169,23 +170,21 @@ Result<Table> Filter(const Table& input, const Expr& predicate,
 Result<Table> Project(const Table& input,
                       const std::vector<std::string>& columns) {
   Schema schema;
-  std::vector<size_t> indexes;
+  std::vector<Table::ColumnSource> sources;
+  sources.reserve(columns.size());
   for (const std::string& name : columns) {
     LAKEKIT_ASSIGN_OR_RETURN(size_t idx, input.ColumnIndex(name));
-    indexes.push_back(idx);
     schema.AddField(input.schema().field(idx));
+    sources.push_back(Table::ColumnSource{&input, idx, nullptr});
   }
   // Whole-column copies — no per-row work at all.
-  std::vector<std::vector<Value>> cols;
-  cols.reserve(indexes.size());
-  for (size_t idx : indexes) cols.push_back(input.column(idx));
-  return Table::FromColumns(input.name(), std::move(schema), std::move(cols),
+  return Table::FromColumns(input.name(), std::move(schema), sources,
                             input.num_rows());
 }
 
 namespace {
 
-constexpr uint32_t kNoMatch = 0xffffffffu;
+constexpr uint32_t kNoMatch = Table::kNullRow;
 
 /// Smallest power of two >= max(16, 2 * n).
 size_t BucketCount(size_t n) {
@@ -291,35 +290,34 @@ Result<Table> HashJoin(const Table& left, const Table& right,
           },
           PoolOptions(opts)));
 
-  // Ordered columnar gather.
+  // Ordered columnar gather: flatten the match lists into one row-index
+  // array per side (an unmatched left row reads NULL on the right).
   size_t total = 0;
   for (const MatchList& m : matches) total += m.size();
   // The output's footprint is now exact; reserve it before the first
   // column is gathered.
-  LAKEKIT_RETURN_IF_ERROR(
-      reservation.Reserve(total * schema.num_fields() * sizeof(Value)));
-  std::vector<std::vector<Value>> cols(schema.num_fields());
-  const size_t left_cols = left.num_columns();
-  for (size_t c = 0; c < left_cols; ++c) {
-    const std::vector<Value>& from = left.column(c);
-    std::vector<Value>& to = cols[c];
-    to.reserve(total);
-    for (const MatchList& morsel : matches) {
-      for (const auto& [l, r] : morsel) to.push_back(from[l]);
+  LAKEKIT_RETURN_IF_ERROR(reservation.Reserve(
+      total * (2 * sizeof(uint32_t) + schema.num_fields() * sizeof(Value))));
+  std::vector<uint32_t> lrows;
+  std::vector<uint32_t> rrows;
+  lrows.reserve(total);
+  rrows.reserve(total);
+  for (const MatchList& morsel : matches) {
+    for (const auto& [l, r] : morsel) {
+      lrows.push_back(l);
+      rrows.push_back(r);
     }
+  }
+  std::vector<Table::ColumnSource> sources;
+  sources.reserve(schema.num_fields());
+  for (size_t c = 0; c < left.num_columns(); ++c) {
+    sources.push_back(Table::ColumnSource{&left, c, lrows.data()});
   }
   for (size_t c = 0; c < right.num_columns(); ++c) {
-    const std::vector<Value>& from = right.column(c);
-    std::vector<Value>& to = cols[left_cols + c];
-    to.reserve(total);
-    for (const MatchList& morsel : matches) {
-      for (const auto& [l, r] : morsel) {
-        to.push_back(r == kNoMatch ? Value::Null() : from[r]);
-      }
-    }
+    sources.push_back(Table::ColumnSource{&right, c, rrows.data()});
   }
   return Table::FromColumns(left.name() + "_join_" + right.name(),
-                            std::move(schema), std::move(cols), total);
+                            std::move(schema), sources, total);
 }
 
 namespace {
@@ -332,7 +330,6 @@ struct AggState {
   size_t count = 0;
   int64_t isum = 0;
   double dsum = 0;
-  bool saw_double = false;
   Value min;
   Value max;
 
@@ -342,7 +339,6 @@ struct AggState {
     if (v.is_int()) {
       isum += v.as_int();
     } else if (v.is_double()) {
-      saw_double = true;
       dsum += v.as_double();
     }
     if (min.is_null() || v < min) min = v;
@@ -355,7 +351,6 @@ struct AggState {
     count += other.count;
     isum += other.isum;
     dsum += other.dsum;
-    saw_double = saw_double || other.saw_double;
     if (!other.min.is_null() && (min.is_null() || other.min < min)) {
       min = other.min;
     }
@@ -364,13 +359,14 @@ struct AggState {
     }
   }
 
-  Value Finish(AggFn fn) const {
+  /// The aggregate's value, of the `type` AggOutputType declares for it.
+  Value Finish(AggFn fn, DataType type) const {
     switch (fn) {
       case AggFn::kCount:
         return Value(static_cast<int64_t>(count));
       case AggFn::kSum:
         if (count == 0) return Value::Null();
-        if (!saw_double) return Value(isum);
+        if (type == DataType::kInt64) return Value(isum);
         return Value(static_cast<double>(isum) + dsum);
       case AggFn::kAvg:
         if (count == 0) return Value::Null();
@@ -442,9 +438,6 @@ struct AggPartial {
 /// CellEq: NULL equals only NULL, numerics compare by double, NaN != NaN.
 using LaneEqFn = bool (*)(const Vec&, size_t, size_t);
 
-bool LaneEqGeneric(const Vec& v, size_t a, size_t b) {
-  return CellEq(DecodeCell(*v.cells[a]), DecodeCell(*v.cells[b]));
-}
 // An all-NULL lane has no payload to compare: every pair of cells is equal.
 bool LaneEqNull(const Vec& /*v*/, size_t /*a*/, size_t /*b*/) { return true; }
 bool LaneEqBool(const Vec& v, size_t a, size_t b) {
@@ -478,7 +471,6 @@ bool LaneEqStr(const Vec& v, size_t a, size_t b) {
 }
 
 LaneEqFn LaneEqFor(const Vec& v) {
-  if (v.generic) return LaneEqGeneric;
   switch (v.type) {
     case DataType::kBool:
       return LaneEqBool;
@@ -538,13 +530,6 @@ class GroupIndex {
     first_row_.assign(1, 0);
     hashes_.assign(1, 0);
     counts_.assign(1, count);
-  }
-
-  void Reset() {
-    slots_.assign(kInitialSlots, Slot{});
-    first_row_.clear();
-    hashes_.clear();
-    counts_.clear();
   }
 
   const std::vector<uint32_t>& first_row() const { return first_row_; }
@@ -609,23 +594,13 @@ struct StrKey {
 };
 
 /// Fused single-key group assignment: hashes and probes straight off the
-/// key column's Values — no lane build, no row-hash array. Returns false on
-/// the first off-schema cell; the caller resets `idx` and reruns the morsel
-/// through the general lane path.
+/// key column's Values — no lane build, no row-hash array.
 template <typename Key>
-bool ProbeTypedKey(const std::vector<Value>& cells, size_t mbegin, size_t n,
+void ProbeTypedKey(const std::vector<Value>& cells, size_t mbegin, size_t n,
                    GroupIndex* idx, uint32_t* group_of) {
   for (size_t k = 0; k < n; ++k) {
-    const Value& c = cells[mbegin + k];
-    const auto* pv = Key::Get(c);
-    uint64_t h;
-    if (pv != nullptr) {
-      h = Key::Hash(*pv);
-    } else if (c.is_null()) {
-      h = lanehash::kNull;
-    } else {
-      return false;
-    }
+    const auto* pv = Key::Get(cells[mbegin + k]);  // nullptr: a NULL key
+    const uint64_t h = pv != nullptr ? Key::Hash(*pv) : lanehash::kNull;
     group_of[k] =
         idx->Insert(h, static_cast<uint32_t>(k), [&](uint32_t k0) {
           const auto* p0 = Key::Get(cells[mbegin + k0]);
@@ -635,74 +610,104 @@ bool ProbeTypedKey(const std::vector<Value>& cells, size_t mbegin, size_t n,
           return Key::Eq(*p0, *pv);
         });
   }
-  return true;
 }
 
-/// Fused typed sweeps: one traversal of a column's cells computes the union
-/// of what its aggregates need (count / sum / extrema) into morsel-local
-/// arrays, reading Values in place — no lane materialization pass.
-/// Instantiated per need-combination so the inner loop carries no dead work
-/// or runtime flags. Returns false on the first off-schema cell; the caller
-/// discards the (side-effect-free) local partials and reruns the morsel
-/// through the per-cell Value path.
-template <bool kWantSum, bool kWantMinMax>
-bool SweepI64(const std::vector<Value>& cells, size_t mbegin,
-              const uint32_t* group_of, size_t n, size_t* cnt, int64_t* sum,
-              uint8_t* has, int64_t* mn, int64_t* mx) {
+/// Morsel-local per-group partials of one numeric column (T is its int64_t
+/// or double payload): what its aggregates need, indexed by group.
+template <typename T>
+struct SweepPartial {
+  std::vector<size_t> cnt;
+  std::vector<T> sum;         // when a SUM or AVG reads the column
+  std::vector<uint8_t> has;   // extrema, when a MIN or MAX reads it
+  std::vector<T> mn;
+  std::vector<T> mx;
+};
+
+/// Fused typed sweep: one traversal of a numeric column's cells computes
+/// the union of what its aggregates need into `out`, reading Values in
+/// place — no lane materialization pass. Instantiated per need-combination
+/// so the inner loop carries no dead work or runtime flags.
+template <typename T, bool kWantSum, bool kWantMinMax>
+void Sweep(const std::vector<Value>& cells, size_t mbegin,
+           const uint32_t* group_of, size_t n, SweepPartial<T>* out) {
   for (size_t k = 0; k < n; ++k) {
     const Value& c = cells[mbegin + k];
-    const int64_t* pv = c.get_int();
-    if (pv == nullptr) {
-      if (c.is_null()) continue;
-      return false;
+    const T* pv = nullptr;
+    if constexpr (std::is_same_v<T, int64_t>) {
+      pv = c.get_int();
+    } else {
+      pv = c.get_double();
     }
+    if (pv == nullptr) continue;  // a NULL cell
     const uint32_t g = group_of[k];
-    const int64_t v = *pv;
-    ++cnt[g];
-    if constexpr (kWantSum) sum[g] += v;
+    const T v = *pv;
+    ++out->cnt[g];
+    if constexpr (kWantSum) out->sum[g] += v;
     if constexpr (kWantMinMax) {
       // Ordering is by double — the numeric order Value uses — while the
-      // tracked extrema stay exact int64s.
-      if (has[g] == 0) {
-        has[g] = 1;
-        mn[g] = mx[g] = v;
+      // tracked extrema keep their type (exact int64s). `v < mn` is false
+      // for NaN, so a NaN that arrives first sticks — exactly Value's
+      // behavior.
+      if (out->has[g] == 0) {
+        out->has[g] = 1;
+        out->mn[g] = out->mx[g] = v;
       } else {
-        if (static_cast<double>(v) < static_cast<double>(mn[g])) mn[g] = v;
-        if (static_cast<double>(mx[g]) < static_cast<double>(v)) mx[g] = v;
+        const double d = static_cast<double>(v);
+        if (d < static_cast<double>(out->mn[g])) out->mn[g] = v;
+        if (static_cast<double>(out->mx[g]) < d) out->mx[g] = v;
       }
     }
   }
-  return true;
 }
 
-template <bool kWantSum, bool kWantMinMax>
-bool SweepF64(const std::vector<Value>& cells, size_t mbegin,
-              const uint32_t* group_of, size_t n, size_t* cnt, double* sum,
-              uint8_t* has, double* mn, double* mx) {
-  for (size_t k = 0; k < n; ++k) {
-    const Value& c = cells[mbegin + k];
-    const double* pv = c.get_double();
-    if (pv == nullptr) {
-      if (c.is_null()) continue;
-      return false;
+template <typename T>
+SweepPartial<T> SweepColumn(const std::vector<Value>& cells, size_t mbegin,
+                            const uint32_t* group_of, size_t n,
+                            size_t ngroups, bool want_sum, bool want_minmax) {
+  SweepPartial<T> p;
+  p.cnt.assign(ngroups, 0);
+  if (want_sum) p.sum.assign(ngroups, T{0});
+  if (want_minmax) {
+    p.has.assign(ngroups, 0);
+    p.mn.resize(ngroups);
+    p.mx.resize(ngroups);
+  }
+  if (want_sum && want_minmax) {
+    Sweep<T, true, true>(cells, mbegin, group_of, n, &p);
+  } else if (want_sum) {
+    Sweep<T, true, false>(cells, mbegin, group_of, n, &p);
+  } else if (want_minmax) {
+    Sweep<T, false, true>(cells, mbegin, group_of, n, &p);
+  } else {
+    Sweep<T, false, false>(cells, mbegin, group_of, n, &p);
+  }
+  return p;
+}
+
+/// Folds a sweep's partials into the zeroed per-group states of aggregate
+/// `i` (state of group g at `states[g * naggs + i]`). Folding into zeroed
+/// states reproduces the direct-accumulation bit pattern exactly
+/// (0 + x == x), and aggregates sharing a column (SUM + AVG of one
+/// measure) share the identical row-order partial.
+template <typename T>
+void FoldSweep(const SweepPartial<T>& p, AggFn fn, size_t i, size_t naggs,
+               std::vector<AggState>* states) {
+  for (size_t g = 0; g < p.cnt.size(); ++g) {
+    AggState& st = (*states)[g * naggs + i];
+    if (fn == AggFn::kMin || fn == AggFn::kMax) {
+      if (p.has[g] == 0) continue;
+      st.min = Value(p.mn[g]);
+      st.max = Value(p.mx[g]);
+      continue;
     }
-    const uint32_t g = group_of[k];
-    const double v = *pv;
-    ++cnt[g];
-    if constexpr (kWantSum) sum[g] += v;
-    if constexpr (kWantMinMax) {
-      // `v < mn` is false for NaN, so a NaN that arrives first sticks —
-      // exactly Value's behavior.
-      if (has[g] == 0) {
-        has[g] = 1;
-        mn[g] = mx[g] = v;
-      } else {
-        if (v < mn[g]) mn[g] = v;
-        if (mx[g] < v) mx[g] = v;
-      }
+    st.count += p.cnt[g];
+    if (fn == AggFn::kCount) continue;
+    if constexpr (std::is_same_v<T, int64_t>) {
+      st.isum += p.sum[g];  // exact integer accumulation
+    } else {
+      st.dsum += p.sum[g];
     }
   }
-  return true;
 }
 
 }  // namespace
@@ -734,9 +739,8 @@ Result<Table> Aggregate(const Table& input,
   // a group index via a flat open-addressed table: the key cells are hashed
   // in place, and a key vector is materialized only the first time a group
   // is seen, so the per-row cost is hashing plus a probe. Pass 2 walks each
-  // aggregate input column once, through its typed lane when the morsel is
-  // schema-clean — the type dispatch happens once per (column, morsel), not
-  // per cell.
+  // aggregate input column once; the type dispatch happens once per
+  // (column, morsel), not per cell.
   const size_t rows = input.num_rows();
   ScopedReservation reservation(opts.budget);
   LAKEKIT_ASSIGN_OR_RETURN(
@@ -758,48 +762,37 @@ Result<Table> Aggregate(const Table& input,
             LAKEKIT_RETURN_IF_ERROR(scratch.Add(n * sizeof(uint32_t)));
 
             // Pass 1: group assignment through a growable morsel-local
-            // probe table (GroupIndex). With a single typed key column the
-            // fused fast path hashes and probes straight off the column's
-            // Values; the first off-schema cell falls back to the general
-            // path, which loads the key columns into lanes, hashes them
-            // lane-at-a-time (see HashLane — equal cells hash equal, which
-            // is all the probe table needs), and compares candidates
-            // against the group's first-seen row with per-lane equality
-            // function pointers, so neither path touches a variant dispatch
-            // in the row loop. Key Values materialize once per group after
-            // the loop — straight from the input cells — along with the
-            // Value::Hash-based GroupKey hash the cross-morsel merge keys
-            // on.
+            // probe table (GroupIndex). A single int64, double or string
+            // key column takes the fused fast path, hashing and probing
+            // straight off the column's Values. Any other key loads the key
+            // columns into lanes, hashes them lane-at-a-time (see HashLane
+            // — equal cells hash equal, which is all the probe table
+            // needs), and compares candidates against the group's
+            // first-seen row with per-lane equality function pointers, so
+            // neither path touches a variant dispatch in the row loop. Key
+            // Values materialize once per group after the loop — straight
+            // from the input cells — along with the Value::Hash-based
+            // GroupKey hash the cross-morsel merge keys on.
             GroupIndex idx;
             std::vector<uint32_t> group_of(n);
-            bool grouped = false;
+            const bool one_key = group_idx.size() == 1;
+            const DataType key_type =
+                one_key ? input.schema().field(group_idx[0]).type
+                        : DataType::kNull;
             if (group_idx.empty()) {
               // Global aggregate: one group, no probing.
               std::fill(group_of.begin(), group_of.end(), 0u);
               idx.SetSingleGroup(static_cast<uint32_t>(n));
-              grouped = true;
-            } else if (group_idx.size() == 1) {
-              const size_t kc = group_idx[0];
-              const std::vector<Value>& kcells = input.column(kc);
-              switch (input.schema().field(kc).type) {
-                case DataType::kInt64:
-                  grouped = ProbeTypedKey<I64Key>(kcells, mbegin, n, &idx,
-                                                  group_of.data());
-                  break;
-                case DataType::kDouble:
-                  grouped = ProbeTypedKey<F64Key>(kcells, mbegin, n, &idx,
-                                                  group_of.data());
-                  break;
-                case DataType::kString:
-                  grouped = ProbeTypedKey<StrKey>(kcells, mbegin, n, &idx,
-                                                  group_of.data());
-                  break;
-                default:
-                  break;
-              }
-              if (!grouped) idx.Reset();
-            }
-            if (!grouped) {
+            } else if (one_key && key_type == DataType::kInt64) {
+              ProbeTypedKey<I64Key>(input.column(group_idx[0]), mbegin, n,
+                                    &idx, group_of.data());
+            } else if (one_key && key_type == DataType::kDouble) {
+              ProbeTypedKey<F64Key>(input.column(group_idx[0]), mbegin, n,
+                                    &idx, group_of.data());
+            } else if (one_key && key_type == DataType::kString) {
+              ProbeTypedKey<StrKey>(input.column(group_idx[0]), mbegin, n,
+                                    &idx, group_of.data());
+            } else {
               std::vector<Vec> key_lanes;
               key_lanes.reserve(group_idx.size());
               for (size_t g : group_idx) {
@@ -850,11 +843,8 @@ Result<Table> Aggregate(const Table& input,
             // column. Each sweep accumulates the union of what that
             // column's aggregates need (count / sum / extrema) into small
             // per-morsel arrays indexed by group — L1-resident, no AggState
-            // pointer chasing in the row loop. The fold into `p.states`
-            // happens once per group per aggregate; folding into zeroed
-            // states reproduces the direct-accumulation bit pattern exactly
-            // (0 + x == x), and aggregates sharing a column (SUM + AVG of
-            // one measure) share the identical row-order partial.
+            // pointer chasing in the row loop — folded into `p.states` once
+            // per group per aggregate (FoldSweep).
             const size_t ngroups = p.keys.size();
             const size_t naggs = aggs.size();
             constexpr size_t kNoCol = static_cast<size_t>(-1);
@@ -895,118 +885,34 @@ Result<Table> Aggregate(const Table& input,
             }
             for (const ColPlan& plan : plans) {
               const std::vector<Value>& cells = input.column(plan.col);
-              const DataType ctype = input.schema().field(plan.col).type;
-              bool clean = false;
-              std::vector<size_t> cnt;
-              std::vector<uint8_t> has;
-              std::vector<int64_t> isum, imn, imx;
-              std::vector<double> dsum, dmn, dmx;
-              if (ctype == DataType::kInt64 || ctype == DataType::kDouble) {
-                cnt.assign(ngroups, 0);
-                if (plan.want_minmax) has.assign(ngroups, 0);
-              }
-              if (ctype == DataType::kInt64) {
-                if (plan.want_sum) isum.assign(ngroups, 0);
-                if (plan.want_minmax) {
-                  imn.resize(ngroups);
-                  imx.resize(ngroups);
-                }
-                if (plan.want_sum && plan.want_minmax) {
-                  clean = SweepI64<true, true>(cells, mbegin, group_of.data(),
-                                               n, cnt.data(), isum.data(),
-                                               has.data(), imn.data(),
-                                               imx.data());
-                } else if (plan.want_sum) {
-                  clean = SweepI64<true, false>(cells, mbegin, group_of.data(),
-                                                n, cnt.data(), isum.data(),
-                                                nullptr, nullptr, nullptr);
-                } else if (plan.want_minmax) {
-                  clean = SweepI64<false, true>(cells, mbegin, group_of.data(),
-                                                n, cnt.data(), nullptr,
-                                                has.data(), imn.data(),
-                                                imx.data());
-                } else {
-                  clean = SweepI64<false, false>(cells, mbegin,
-                                                 group_of.data(), n,
-                                                 cnt.data(), nullptr, nullptr,
-                                                 nullptr, nullptr);
-                }
-              } else if (ctype == DataType::kDouble) {
-                if (plan.want_sum) dsum.assign(ngroups, 0.0);
-                if (plan.want_minmax) {
-                  dmn.resize(ngroups);
-                  dmx.resize(ngroups);
-                }
-                if (plan.want_sum && plan.want_minmax) {
-                  clean = SweepF64<true, true>(cells, mbegin, group_of.data(),
-                                               n, cnt.data(), dsum.data(),
-                                               has.data(), dmn.data(),
-                                               dmx.data());
-                } else if (plan.want_sum) {
-                  clean = SweepF64<true, false>(cells, mbegin, group_of.data(),
-                                                n, cnt.data(), dsum.data(),
-                                                nullptr, nullptr, nullptr);
-                } else if (plan.want_minmax) {
-                  clean = SweepF64<false, true>(cells, mbegin, group_of.data(),
-                                                n, cnt.data(), nullptr,
-                                                has.data(), dmn.data(),
-                                                dmx.data());
-                } else {
-                  clean = SweepF64<false, false>(cells, mbegin,
-                                                 group_of.data(), n,
-                                                 cnt.data(), nullptr, nullptr,
-                                                 nullptr, nullptr);
-                }
-              }
-              if (!clean) {
-                // Bool, string, or untyped schema columns, or a typed sweep
-                // that hit an off-schema cell (its local partials are
-                // discarded untouched): per-cell Value path.
-                for (const size_t i : plan.agg_ids) {
-                  for (size_t k = 0; k < n; ++k) {
-                    p.states[group_of[k] * naggs + i].Add(
-                        cells[mbegin + k]);
+              switch (input.schema().field(plan.col).type) {
+                case DataType::kInt64: {
+                  const SweepPartial<int64_t> sp = SweepColumn<int64_t>(
+                      cells, mbegin, group_of.data(), n, ngroups,
+                      plan.want_sum, plan.want_minmax);
+                  for (const size_t i : plan.agg_ids) {
+                    FoldSweep(sp, aggs[i].fn, i, naggs, &p.states);
                   }
+                  break;
                 }
-                continue;
-              }
-              for (const size_t i : plan.agg_ids) {
-                const AggFn fn = aggs[i].fn;
-                if (fn == AggFn::kMin || fn == AggFn::kMax) {
-                  for (size_t g = 0; g < ngroups; ++g) {
-                    if (has[g] == 0) continue;
-                    AggState& st = p.states[g * naggs + i];
-                    if (ctype == DataType::kInt64) {
-                      st.min = Value(imn[g]);
-                      st.max = Value(imx[g]);
-                    } else {
-                      st.min = Value(dmn[g]);
-                      st.max = Value(dmx[g]);
+                case DataType::kDouble: {
+                  const SweepPartial<double> sp = SweepColumn<double>(
+                      cells, mbegin, group_of.data(), n, ngroups,
+                      plan.want_sum, plan.want_minmax);
+                  for (const size_t i : plan.agg_ids) {
+                    FoldSweep(sp, aggs[i].fn, i, naggs, &p.states);
+                  }
+                  break;
+                }
+                default:
+                  // Bool, string and all-NULL columns: per-cell Value path.
+                  for (const size_t i : plan.agg_ids) {
+                    for (size_t k = 0; k < n; ++k) {
+                      p.states[group_of[k] * naggs + i].Add(
+                          cells[mbegin + k]);
                     }
                   }
-                } else if (fn == AggFn::kCount) {
-                  for (size_t g = 0; g < ngroups; ++g) {
-                    p.states[g * naggs + i].count += cnt[g];
-                  }
-                } else if (ctype == DataType::kInt64) {
-                  // kSum / kAvg: exact integer accumulation.
-                  for (size_t g = 0; g < ngroups; ++g) {
-                    AggState& st = p.states[g * naggs + i];
-                    st.count += cnt[g];
-                    st.isum += isum[g];
-                  }
-                } else {
-                  // kSum / kAvg over doubles: the shared local partial
-                  // accumulated in row order, so every aggregate of this
-                  // column folds the identical bit pattern.
-                  for (size_t g = 0; g < ngroups; ++g) {
-                    if (cnt[g] == 0) continue;
-                    AggState& st = p.states[g * naggs + i];
-                    st.count += cnt[g];
-                    st.saw_double = true;
-                    st.dsum += dsum[g];
-                  }
-                }
+                  break;
               }
             }
             // The partial survives until the ordered merge consumes it:
@@ -1075,7 +981,8 @@ Result<Table> Aggregate(const Table& input,
   for (size_t g = 0; g < keys.size(); ++g) {
     std::vector<Value> row = keys[g].values;
     for (size_t i = 0; i < naggs; ++i) {
-      row.push_back(states[g * naggs + i].Finish(aggs[i].fn));
+      row.push_back(states[g * naggs + i].Finish(
+          aggs[i].fn, schema.field(group_idx.size() + i).type));
     }
     LAKEKIT_RETURN_IF_ERROR(out.AppendRow(std::move(row)));
   }
@@ -1113,12 +1020,10 @@ Result<Table> Sort(const Table& input, const std::string& column,
 
 table::Table Limit(const Table& input, size_t n) {
   const size_t rows = std::min(input.num_rows(), n);
-  std::vector<uint32_t> head(rows);
-  std::iota(head.begin(), head.end(), 0);
   Table out(input.name(), input.schema());
   out.Reserve(rows);
   // ignore: `out` shares `input`'s schema by construction.
-  (void)out.AppendRowsFrom(input, head.data(), rows);
+  (void)out.AppendRowsFrom(input, /*rows=*/nullptr, rows);
   return out;
 }
 

@@ -102,7 +102,6 @@ struct AggState {
   double dsum = 0;
   double block_sum = 0;
   size_t block = 0;
-  bool saw_double = false;
   Value min;
   Value max;
 
@@ -112,7 +111,6 @@ struct AggState {
     if (v.is_int()) {
       isum += v.as_int();
     } else if (v.is_double()) {
-      saw_double = true;
       const size_t b = row / kMorselSize;
       if (b != block) {
         dsum += block_sum;
@@ -127,13 +125,14 @@ struct AggState {
 
   double DoubleSum() const { return dsum + block_sum; }
 
-  Value Finish(AggFn fn) const {
+  /// The aggregate's value, of the `type` AggOutputType declares for it.
+  Value Finish(AggFn fn, DataType type) const {
     switch (fn) {
       case AggFn::kCount:
         return Value(static_cast<int64_t>(count));
       case AggFn::kSum:
         if (count == 0) return Value::Null();
-        if (!saw_double) return Value(isum);
+        if (type == DataType::kInt64) return Value(isum);
         return Value(static_cast<double>(isum) + DoubleSum());
       case AggFn::kAvg:
         if (count == 0) return Value::Null();
@@ -272,7 +271,8 @@ Result<Table> Aggregate(const Table& input,
   for (const Group& group : groups) {
     std::vector<Value> row = group.key;
     for (size_t i = 0; i < aggs.size(); ++i) {
-      row.push_back(group.states[i].Finish(aggs[i].fn));
+      row.push_back(group.states[i].Finish(
+          aggs[i].fn, schema.field(group_idx.size() + i).type));
     }
     LAKEKIT_RETURN_IF_ERROR(out.AppendRow(std::move(row)));
   }

@@ -19,7 +19,7 @@ namespace {
 size_t Lane(const Vec& v, size_t k) { return v.scalar ? 0 : k; }
 
 bool VecIsNull(const Vec& v, size_t k) {
-  if (v.type == DataType::kNull && !v.generic) return true;
+  if (v.type == DataType::kNull) return true;
   return v.nulls[Lane(v, k)] != 0;
 }
 
@@ -105,11 +105,6 @@ namespace {
 
 Truth TruthOf(const Vec& v, size_t k) {
   if (VecIsNull(v, k)) return Truth::kNull;
-  if (v.generic) {
-    const Value* cell = v.cells[Lane(v, k)];
-    if (!cell->is_bool()) return Truth::kOther;
-    return cell->as_bool() ? Truth::kTrue : Truth::kFalse;
-  }
   if (v.type != DataType::kBool) return Truth::kOther;
   return v.b8[Lane(v, k)] != 0 ? Truth::kTrue : Truth::kFalse;
 }
@@ -119,9 +114,7 @@ Truth TruthOf(const Vec& v, size_t k) {
 CellRef VecCell(const Vec& v, size_t k) {
   const size_t li = Lane(v, k);
   CellRef c;
-  if (v.type == DataType::kNull && !v.generic) return c;
-  if (v.generic) return DecodeCell(*v.cells[li]);
-  if (v.nulls[li] != 0) return c;
+  if (VecIsNull(v, k)) return c;
   c.type = v.type;
   switch (v.type) {
     case DataType::kNull:
@@ -178,88 +171,61 @@ bool CellEq(const CellRef& a, const CellRef& b) {
   }
 }
 
+namespace {
+
+/// Copies the payloads of cells [begin, begin + n) into `lane`, flagging
+/// the cells `get` returns nullptr for — by the Table invariant, exactly
+/// the NULL cells. The only per-cell work is one variant index load. The
+/// loop runs over raw pointers: the lanes live in the caller's Vec, and
+/// through the vectors every null-flag store (a char, which may alias
+/// anything) would force a reload of each vector's data pointer.
+template <typename T, typename GetFn>
+void FillLane(const std::vector<Value>& cells, size_t begin, size_t n,
+              GetFn get, std::vector<T>* lane, std::vector<uint8_t>* nulls) {
+  lane->resize(n);
+  const Value* in = cells.data() + begin;
+  T* out = lane->data();
+  uint8_t* is_null = nulls->data();
+  for (size_t k = 0; k < n; ++k) {
+    if (const auto* pv = get(in[k])) {
+      out[k] = static_cast<T>(*pv);
+    } else {
+      is_null[k] = 1;
+    }
+  }
+}
+
+}  // namespace
+
 Vec LoadColumn(const Table& input, size_t col, DataType schema_type,
                size_t begin, size_t end) {
   const std::vector<Value>& cells = input.column(col);
   const size_t n = end - begin;
   Vec v;
   v.type = schema_type;
-  v.nulls.assign(n, 0);
-  // Typed fast lane: one pass whose only per-cell work is a single variant
-  // index load (get_*: schema-typed cells take the first branch) and a
-  // payload copy. The first off-schema cell demotes the whole batch to the
-  // generic lane.
-  bool ok = true;
+  // A kNull field holds only NULLs.
+  v.nulls.assign(n, schema_type == DataType::kNull ? 1 : 0);
   switch (schema_type) {
     case DataType::kBool:
-      v.b8.resize(n);
-      for (size_t k = 0; k < n && ok; ++k) {
-        const Value& c = cells[begin + k];
-        if (const bool* pv = c.get_bool()) {
-          v.b8[k] = *pv ? 1 : 0;
-        } else if (c.is_null()) {
-          v.nulls[k] = 1;
-        } else {
-          ok = false;
-        }
-      }
+      FillLane(cells, begin, n, [](const Value& c) { return c.get_bool(); },
+               &v.b8, &v.nulls);
       break;
     case DataType::kInt64:
-      v.i64.resize(n);
-      for (size_t k = 0; k < n && ok; ++k) {
-        const Value& c = cells[begin + k];
-        if (const int64_t* pv = c.get_int()) {
-          v.i64[k] = *pv;
-        } else if (c.is_null()) {
-          v.nulls[k] = 1;
-        } else {
-          ok = false;
-        }
-      }
+      FillLane(cells, begin, n, [](const Value& c) { return c.get_int(); },
+               &v.i64, &v.nulls);
       break;
     case DataType::kDouble:
-      v.f64.resize(n);
-      for (size_t k = 0; k < n && ok; ++k) {
-        const Value& c = cells[begin + k];
-        if (const double* pv = c.get_double()) {
-          v.f64[k] = *pv;
-        } else if (c.is_null()) {
-          v.nulls[k] = 1;
-        } else {
-          ok = false;
-        }
-      }
+      FillLane(cells, begin, n, [](const Value& c) { return c.get_double(); },
+               &v.f64, &v.nulls);
       break;
     case DataType::kString:
-      v.str.resize(n);
-      for (size_t k = 0; k < n && ok; ++k) {
-        const Value& c = cells[begin + k];
-        if (const std::string* pv = c.get_string()) {
-          v.str[k] = *pv;
-        } else if (c.is_null()) {
-          v.nulls[k] = 1;
-        } else {
-          ok = false;
-        }
-      }
+      FillLane(cells, begin, n, [](const Value& c) { return c.get_string(); },
+               &v.str, &v.nulls);
       break;
     case DataType::kNull:
-      ok = false;  // untyped schema: nothing to specialize on
       break;
   }
-  if (ok) return v;
-  // Generic lane: pointers into the column's cells.
-  Vec g;
-  g.type = schema_type;
-  g.generic = true;
-  g.nulls.assign(n, 0);
-  g.cells.resize(n);
-  for (size_t k = 0; k < n; ++k) {
-    const Value& c = cells[begin + k];
-    g.cells[k] = &c;
-    if (c.is_null()) g.nulls[k] = 1;
-  }
-  return g;
+  return v;
 }
 
 namespace lanehash {
@@ -269,8 +235,9 @@ namespace lanehash {
 /// CellEq-consistency: cells a probe table could compare equal must hash
 /// equal. That freedom buys a string hash far cheaper than Value's
 /// byte-at-a-time FNV (length folded with the first eight bytes, one mix).
-/// Numerics hash through double with -0.0 normalized, because a generic
-/// lane can put int64 5 and double 5.0 — CellEq-equal — in the same column.
+/// Numerics hash through double with -0.0 normalized, because CellEq
+/// compares them through double: int64 2^53 equals 2^53 + 1, and -0.0
+/// equals 0.0.
 
 uint64_t Numeric(double d) {
   if (d == 0.0) d = 0.0;  // Normalize -0.0 (CellEq: -0.0 == 0.0).
@@ -306,31 +273,9 @@ uint64_t NumericHash(double d) { return lanehash::Numeric(d); }
 
 uint64_t PrefixHash(std::string_view s) { return lanehash::Prefix(s); }
 
-uint64_t HashCell(const CellRef& c) {
-  switch (c.type) {
-    case DataType::kNull:
-      return kNullHash;
-    case DataType::kBool:
-      return c.b ? kTrueHash : kFalseHash;
-    case DataType::kInt64:
-      return NumericHash(static_cast<double>(c.i));
-    case DataType::kDouble:
-      return NumericHash(c.d);
-    case DataType::kString:
-      return PrefixHash(c.s);
-  }
-  return kNullHash;
-}
-
 }  // namespace
 
 void HashLane(const Vec& lane, size_t n, uint64_t* inout) {
-  if (lane.generic) {
-    for (size_t k = 0; k < n; ++k) {
-      inout[k] = HashCombine(inout[k], HashCell(DecodeCell(*lane.cells[k])));
-    }
-    return;
-  }
   switch (lane.type) {
     case DataType::kBool:
       for (size_t k = 0; k < n; ++k) {
@@ -462,8 +407,7 @@ Vec EvalLiteral(const Value& literal) {
 }
 
 bool IsNumericLane(const Vec& v) {
-  return !v.generic &&
-         (v.type == DataType::kInt64 || v.type == DataType::kDouble);
+  return v.type == DataType::kInt64 || v.type == DataType::kDouble;
 }
 
 Vec EvalCompare(CmpOp op, const Vec& l, const Vec& r, size_t n) {
@@ -488,8 +432,7 @@ Vec EvalCompare(CmpOp op, const Vec& l, const Vec& r, size_t n) {
     }
     return out;
   }
-  if (!l.generic && !r.generic && l.type == DataType::kString &&
-      r.type == DataType::kString) {
+  if (l.type == DataType::kString && r.type == DataType::kString) {
     for (size_t k = 0; k < rows; ++k) {
       if (VecIsNull(l, k) || VecIsNull(r, k)) {
         out.nulls[k] = 1;
@@ -501,7 +444,7 @@ Vec EvalCompare(CmpOp op, const Vec& l, const Vec& r, size_t n) {
     }
     return out;
   }
-  // Cross-type, boolean, or generic operands: decoded-cell loop.
+  // Cross-type or boolean operands: decoded-cell loop.
   for (size_t k = 0; k < rows; ++k) {
     if (VecIsNull(l, k) || VecIsNull(r, k)) {
       out.nulls[k] = 1;
@@ -548,8 +491,8 @@ Result<Vec> EvalArith(ArithOp op, const Vec& l, const Vec& r, size_t n) {
   const size_t rows = scalar ? 1 : n;
   // Integer fast lane: int64 (+,-,*) stays integral, exactly like the
   // interpreter.
-  if (!l.generic && !r.generic && l.type == DataType::kInt64 &&
-      r.type == DataType::kInt64 && op != ArithOp::kDiv) {
+  if (l.type == DataType::kInt64 && r.type == DataType::kInt64 &&
+      op != ArithOp::kDiv) {
     Vec out;
     out.type = DataType::kInt64;
     out.scalar = scalar;
@@ -617,65 +560,14 @@ Result<Vec> EvalArith(ArithOp op, const Vec& l, const Vec& r, size_t n) {
     }
     return out;
   }
-  // Non-numeric typed lanes can only yield NULLs (from NULL cells) or the
-  // interpreter's type error; generic lanes decide int-vs-double per row, so
-  // the output is generic too, backed by `owned`.
+  // A bool, string or all-NULL operand: NULL where either side is NULL,
+  // the interpreter's type error anywhere else.
   Vec out;
-  out.type = DataType::kDouble;
   out.scalar = scalar;
-  out.generic = true;
-  out.nulls.assign(rows, 0);
-  out.owned.assign(rows, Value::Null());
-  out.cells.resize(rows);
-  for (size_t k = 0; k < rows; ++k) out.cells[k] = &out.owned[k];
+  out.nulls.assign(rows, 1);
   for (size_t k = 0; k < rows; ++k) {
-    if (VecIsNull(l, k) || VecIsNull(r, k)) {
-      out.nulls[k] = 1;
-      continue;
-    }
-    const CellRef a = VecCell(l, k);
-    const CellRef b = VecCell(r, k);
-    const bool a_num =
-        a.type == DataType::kInt64 || a.type == DataType::kDouble;
-    const bool b_num =
-        b.type == DataType::kInt64 || b.type == DataType::kDouble;
-    if (!a_num || !b_num) {
+    if (!VecIsNull(l, k) && !VecIsNull(r, k)) {
       return Status::InvalidArgument("arithmetic on non-numeric values");
-    }
-    if (a.type == DataType::kInt64 && b.type == DataType::kInt64 &&
-        op != ArithOp::kDiv) {
-      switch (op) {
-        case ArithOp::kAdd:
-          out.owned[k] = Value(a.i + b.i);
-          break;
-        case ArithOp::kSub:
-          out.owned[k] = Value(a.i - b.i);
-          break;
-        case ArithOp::kMul:
-          out.owned[k] = Value(a.i * b.i);
-          break;
-        case ArithOp::kDiv:
-          break;
-      }
-      continue;
-    }
-    switch (op) {
-      case ArithOp::kAdd:
-        out.owned[k] = Value(a.d + b.d);
-        break;
-      case ArithOp::kSub:
-        out.owned[k] = Value(a.d - b.d);
-        break;
-      case ArithOp::kMul:
-        out.owned[k] = Value(a.d * b.d);
-        break;
-      case ArithOp::kDiv:
-        if (b.d == 0) {
-          out.nulls[k] = 1;
-        } else {
-          out.owned[k] = Value(a.d / b.d);
-        }
-        break;
     }
   }
   return out;
@@ -1010,16 +902,10 @@ Status CompiledExpr::EvalSelection(const Table& input, size_t begin,
     }
     return Status::OK();
   }
-  if (!v.generic && v.type == DataType::kBool) {
-    for (size_t k = 0; k < n; ++k) {
-      if (v.nulls[k] == 0 && v.b8[k] != 0) {
-        out->push_back(static_cast<uint32_t>(begin + k));
-      }
-    }
-    return Status::OK();
-  }
+  // Only a non-NULL boolean true selects a row.
+  if (v.type != DataType::kBool) return Status::OK();
   for (size_t k = 0; k < n; ++k) {
-    if (TruthOf(v, k) == Truth::kTrue) {
+    if (v.nulls[k] == 0 && v.b8[k] != 0) {
       out->push_back(static_cast<uint32_t>(begin + k));
     }
   }

@@ -20,9 +20,9 @@ namespace lakekit::query {
 /// cell. The vectorized engine instead processes *morsels* of `kMorselSize`
 /// rows at a time: each expression node is compiled once against the schema
 /// (column indexes and lane types resolved up front), and evaluation runs
-/// tight per-column loops over typed lanes, falling back to a generic
-/// cell-pointer lane only for columns whose cells deviate from their schema
-/// type. Predicates produce *selection vectors* — sorted row indexes — that
+/// tight per-column loops over typed lanes — a Table's cells always hold
+/// their field's type, so a column always loads into its schema type's
+/// lane. Predicates produce *selection vectors* — sorted row indexes — that
 /// operators gather column-wise, so accepted rows are never materialized as
 /// row vectors.
 
@@ -37,28 +37,19 @@ inline constexpr size_t kMorselSize = 2048;
 /// gather working set.
 using SelVector = std::vector<uint32_t>;
 
-/// A batch of expression results in columnar form. Exactly one lane is
-/// active, chosen once per batch by `type` + `generic`:
-///   - typed lanes (`b8`/`i64`/`f64`/`str`) + `nulls` when every non-null
-///     cell matches the lane type;
-///   - the `cells` lane (pointers into table storage or into `owned`) when
-///     a column's cells deviate from its schema type or a kernel produces
-///     per-row mixed int64/double results.
-/// `scalar` marks a broadcast value (literals, constant folds): lanes have
-/// size 1 regardless of the morsel size.
+/// A batch of expression results in columnar form: `nulls` plus the one
+/// typed lane (`b8`/`i64`/`f64`/`str`) that `type` selects. `scalar` marks
+/// a broadcast value (literals, constant folds): lanes have size 1
+/// regardless of the morsel size.
 struct Vec {
   table::DataType type = table::DataType::kNull;  // kNull => every row NULL
   bool scalar = false;
-  bool generic = false;
   std::vector<uint8_t> nulls;            // 1 = NULL
   std::vector<uint8_t> b8;               // type == kBool
   std::vector<int64_t> i64;              // type == kInt64
   std::vector<double> f64;               // type == kDouble
   std::vector<std::string_view> str;     // type == kString; views into stable
                                          // storage (table cells or literals)
-  std::vector<const table::Value*> cells;  // generic lane
-  std::vector<table::Value> owned;         // backing store for synthesized
-                                           // generic cells
 };
 
 /// Three-valued verdict of a predicate over a whole chunk of rows, from
@@ -157,9 +148,8 @@ class CompiledExpr {
   std::vector<Node> nodes_;  // post-order; root last
 };
 
-/// Loads rows [begin, end) of column `col` into a Vec: a typed lane when
-/// every non-null cell matches `schema_type`, else the generic lane. The
-/// lane decision is made once per (column, morsel), not per cell.
+/// Loads rows [begin, end) of column `col`, whose field type is
+/// `schema_type`, into that type's lane.
 Vec LoadColumn(const table::Table& input, size_t col,
                table::DataType schema_type, size_t begin, size_t end);
 

@@ -15,11 +15,13 @@ namespace lakekit::query {
 /// Sawadogo et al.), kept at morsel granularity so the vectorized engine can
 /// skip whole morsels (`CompiledExpr::EvaluateRange`).
 ///
-/// `min`/`max` are materialized Value copies ordered by Value's cross-type
-/// total order (NULL < bool < numeric < string), so they bound mixed-type
-/// chunks too. They are only meaningful when `has_values`; `unordered` marks
-/// a chunk containing a NaN double, whose comparisons violate trichotomy —
-/// pruning must not trust the range (EvaluateRange returns kMaybe).
+/// `min`/`max` are materialized Value copies of the column's type (a
+/// Table's cells always hold their field's type), compared under Value's
+/// cross-type total order (NULL < bool < numeric < string), so they bound a
+/// chunk against a literal of any type. They are only meaningful when
+/// `has_values`; `unordered` marks a chunk containing a NaN double, whose
+/// comparisons violate trichotomy — pruning must not trust the range
+/// (EvaluateRange returns kMaybe).
 struct ZoneStats {
   table::Value min;
   table::Value max;

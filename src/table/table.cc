@@ -20,6 +20,15 @@ Status Table::AppendRow(std::vector<Value> row) {
         std::to_string(schema_.num_fields()) + " fields");
   }
   for (size_t i = 0; i < row.size(); ++i) {
+    const Field& field = schema_.field(i);
+    if (!row[i].is_null() && row[i].type() != field.type) {
+      return Status::InvalidArgument(
+          "column '" + field.name + "' is " +
+          std::string(DataTypeName(field.type)) + ", cell is " +
+          std::string(DataTypeName(row[i].type())));
+    }
+  }
+  for (size_t i = 0; i < row.size(); ++i) {
     columns_[i].push_back(std::move(row[i]));
   }
   ++num_rows_;
@@ -38,30 +47,63 @@ Status Table::AppendRowsFrom(const Table& src, const uint32_t* rows,
   for (size_t c = 0; c < columns_.size(); ++c) {
     const std::vector<Value>& from = src.columns_[c];
     std::vector<Value>& to = columns_[c];
-    for (size_t k = 0; k < n; ++k) to.push_back(from[rows[k]]);
+    if (rows == nullptr) {
+      to.insert(to.end(), from.begin(), from.begin() + n);
+    } else {
+      for (size_t k = 0; k < n; ++k) to.push_back(from[rows[k]]);
+    }
   }
   num_rows_ += n;
   return Status::OK();
 }
 
 Result<Table> Table::FromColumns(std::string name, Schema schema,
-                                 std::vector<std::vector<Value>> columns,
+                                 const std::vector<ColumnSource>& sources,
                                  size_t num_rows) {
-  if (columns.size() != schema.num_fields()) {
+  if (sources.size() != schema.num_fields()) {
     return Status::InvalidArgument(
-        "FromColumns: " + std::to_string(columns.size()) +
+        "FromColumns: " + std::to_string(sources.size()) +
         " columns for a schema of " + std::to_string(schema.num_fields()) +
         " fields");
   }
-  for (const auto& column : columns) {
-    if (column.size() != num_rows) {
+  for (size_t c = 0; c < sources.size(); ++c) {
+    const ColumnSource& src = sources[c];
+    if (src.column >= src.table->num_columns()) {
+      return Status::InvalidArgument("FromColumns: no source column " +
+                                     std::to_string(src.column));
+    }
+    const DataType from = src.table->schema().field(src.column).type;
+    if (from != schema.field(c).type) {
       return Status::InvalidArgument(
-          "FromColumns: column has " + std::to_string(column.size()) +
+          "FromColumns: column '" + schema.field(c).name + "' is " +
+          std::string(DataTypeName(schema.field(c).type)) +
+          ", its source is " + std::string(DataTypeName(from)));
+    }
+    if (src.rows == nullptr && src.table->num_rows() < num_rows) {
+      return Status::InvalidArgument(
+          "FromColumns: source has " + std::to_string(src.table->num_rows()) +
           " rows, expected " + std::to_string(num_rows));
     }
   }
   Table t(std::move(name), std::move(schema));
-  t.columns_ = std::move(columns);
+  for (size_t c = 0; c < sources.size(); ++c) {
+    const ColumnSource& src = sources[c];
+    const std::vector<Value>& from = src.table->columns_[src.column];
+    std::vector<Value>& to = t.columns_[c];
+    if (src.rows == nullptr) {
+      to.assign(from.begin(), from.begin() + num_rows);
+      continue;
+    }
+    to.reserve(num_rows);
+    for (size_t k = 0; k < num_rows; ++k) {
+      const uint32_t r = src.rows[k];
+      if (r == kNullRow) {
+        to.emplace_back();
+      } else {
+        to.push_back(from[r]);
+      }
+    }
+  }
   t.num_rows_ = num_rows;
   return t;
 }
@@ -94,6 +136,17 @@ std::string Table::ToCsv() const {
   return csv::Write(data);
 }
 
+namespace {
+
+/// Parses all of `v` as a T the way decoding does (std::from_chars).
+template <typename T>
+bool ParseAll(std::string_view v, T* out) {
+  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), *out);
+  return ec == std::errc() && ptr == v.data() + v.size();
+}
+
+}  // namespace
+
 DataType SniffType(const std::vector<std::string>& values) {
   bool all_int = true;
   bool all_num = true;
@@ -103,8 +156,10 @@ DataType SniffType(const std::vector<std::string>& values) {
     std::string_view v = Trim(raw);
     if (v.empty()) continue;
     any_non_empty = true;
-    if (all_int && !LooksLikeInteger(v)) all_int = false;
-    if (all_num && !LooksLikeNumber(v)) all_num = false;
+    int64_t i = 0;
+    double d = 0;
+    if (all_int && !ParseAll(v, &i)) all_int = false;
+    if (all_num && !ParseAll(v, &d)) all_num = false;
     if (all_bool && v != "true" && v != "false") all_bool = false;
     if (!all_int && !all_num && !all_bool) break;
   }
@@ -125,15 +180,11 @@ Value ParseValueAs(std::string_view raw, DataType type) {
       return Value::Null();
     case DataType::kInt64: {
       int64_t i = 0;
-      auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), i);
-      if (ec == std::errc() && ptr == v.data() + v.size()) return Value(i);
-      return Value::Null();
+      return ParseAll(v, &i) ? Value(i) : Value::Null();
     }
     case DataType::kDouble: {
       double d = 0;
-      auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), d);
-      if (ec == std::errc() && ptr == v.data() + v.size()) return Value(d);
-      return Value::Null();
+      return ParseAll(v, &d) ? Value(d) : Value::Null();
     }
     case DataType::kString:
       return Value(std::string(raw));
@@ -143,33 +194,69 @@ Value ParseValueAs(std::string_view raw, DataType type) {
   return Value::Null();
 }
 
+DataType WidenType(DataType a, DataType b) {
+  if (a == b || b == DataType::kNull) return a;
+  if (a == DataType::kNull) return b;
+  const bool numeric_pair =
+      (a == DataType::kInt64 && b == DataType::kDouble) ||
+      (a == DataType::kDouble && b == DataType::kInt64);
+  return numeric_pair ? DataType::kDouble : DataType::kString;
+}
+
+Value CoerceValue(Value v, DataType type) {
+  if (v.is_null() || v.type() == type) return v;
+  if (type == DataType::kDouble && v.is_int()) {
+    return Value(static_cast<double>(v.as_int()));
+  }
+  if (type == DataType::kString) return Value(v.ToString());
+  return v;
+}
+
+Result<Table> Table::FromCsvData(std::string name, const csv::CsvData& data,
+                                 Schema schema) {
+  Table t(std::move(name), std::move(schema));
+  std::vector<DataType> types;
+  types.reserve(t.num_columns());
+  for (const Field& f : t.schema_.fields()) types.push_back(f.type);
+  for (const std::vector<std::string>& rec : data.records) {
+    for (size_t c = 0; c < types.size(); ++c) {
+      Value v = ParseValueAs(rec[c], types[c]);
+      if (v.is_null() && !Trim(rec[c]).empty()) {
+        return Status::Corruption(
+            "CSV field '" + rec[c] + "' of column '" +
+            t.schema_.field(c).name + "' is not " +
+            std::string(DataTypeName(types[c])));
+      }
+      t.columns_[c].push_back(std::move(v));
+    }
+  }
+  t.num_rows_ = data.records.size();
+  return t;
+}
+
 Result<Table> Table::FromCsv(std::string name, std::string_view csv_text) {
   LAKEKIT_ASSIGN_OR_RETURN(csv::CsvData data, csv::Parse(csv_text));
-  // Sniff per-column types.
-  std::vector<DataType> types(data.header.size(), DataType::kString);
-  {
-    std::vector<std::string> column;
-    column.reserve(data.records.size());
-    for (size_t c = 0; c < data.header.size(); ++c) {
-      column.clear();
-      for (const auto& rec : data.records) column.push_back(rec[c]);
-      types[c] = SniffType(column);
-    }
-  }
   Schema schema;
+  std::vector<std::string> column;
+  column.reserve(data.records.size());
   for (size_t c = 0; c < data.header.size(); ++c) {
-    schema.AddField(Field{data.header[c], types[c], /*nullable=*/true});
+    column.clear();
+    for (const auto& rec : data.records) column.push_back(rec[c]);
+    schema.AddField(
+        Field{data.header[c], SniffType(column), /*nullable=*/true});
   }
-  Table t(std::move(name), std::move(schema));
-  for (const auto& rec : data.records) {
-    std::vector<Value> row;
-    row.reserve(rec.size());
-    for (size_t c = 0; c < rec.size(); ++c) {
-      row.push_back(ParseValueAs(rec[c], types[c]));
-    }
-    LAKEKIT_RETURN_IF_ERROR(t.AppendRow(std::move(row)));
+  return FromCsvData(std::move(name), data, std::move(schema));
+}
+
+Result<Table> Table::FromCsv(std::string name, std::string_view csv_text,
+                             Schema schema) {
+  LAKEKIT_ASSIGN_OR_RETURN(csv::CsvData data, csv::Parse(csv_text));
+  if (data.header != schema.FieldNames()) {
+    return Status::Corruption("CSV header '" + Join(data.header, ",") +
+                              "' does not match the schema [" +
+                              schema.ToString() + "]");
   }
-  return t;
+  return FromCsvData(std::move(name), data, std::move(schema));
 }
 
 namespace {
@@ -218,53 +305,24 @@ Result<Table> Table::FromJson(std::string name, const json::Value& doc) {
       if (!seen) keys.push_back(k);
     }
   }
-  // Pass 2: cells, then sniff types column-wise from the JSON value types.
-  std::vector<std::vector<Value>> cells(keys.size());
+  // Pass 2: cells column-wise, then widen each column's type over its
+  // cells and coerce them to it.
+  Table t(std::move(name), Schema());
+  t.columns_.resize(keys.size());
   for (const json::Value& row : doc.as_array()) {
     for (size_t c = 0; c < keys.size(); ++c) {
       const json::Value* v = row.Get(keys[c]);
-      cells[c].push_back(v == nullptr ? Value::Null() : JsonToCell(*v));
+      t.columns_[c].push_back(v == nullptr ? Value::Null() : JsonToCell(*v));
     }
   }
-  Schema schema;
   for (size_t c = 0; c < keys.size(); ++c) {
-    // Type = widest non-null cell type in the column.
     DataType type = DataType::kNull;
-    for (const Value& v : cells[c]) {
-      if (v.is_null()) continue;
-      DataType t = v.type();
-      if (type == DataType::kNull) {
-        type = t;
-      } else if (type != t) {
-        type = (t == DataType::kDouble && type == DataType::kInt64) ||
-                       (t == DataType::kInt64 && type == DataType::kDouble)
-                   ? DataType::kDouble
-                   : DataType::kString;
-      }
-    }
+    for (const Value& v : t.columns_[c]) type = WidenType(type, v.type());
     if (type == DataType::kNull) type = DataType::kString;
-    schema.AddField(Field{keys[c], type, /*nullable=*/true});
+    for (Value& v : t.columns_[c]) v = CoerceValue(std::move(v), type);
+    t.schema_.AddField(Field{keys[c], type, /*nullable=*/true});
   }
-  Table t(std::move(name), std::move(schema));
-  const size_t n = doc.as_array().size();
-  for (size_t r = 0; r < n; ++r) {
-    std::vector<Value> row;
-    row.reserve(keys.size());
-    for (size_t c = 0; c < keys.size(); ++c) {
-      Value v = cells[c][r];
-      // Coerce to the column type where lossless.
-      const DataType want = t.schema().field(c).type;
-      if (!v.is_null() && v.type() != want) {
-        if (want == DataType::kDouble && v.is_int()) {
-          v = Value(static_cast<double>(v.as_int()));
-        } else if (want == DataType::kString) {
-          v = Value(v.ToString());
-        }
-      }
-      row.push_back(std::move(v));
-    }
-    LAKEKIT_RETURN_IF_ERROR(t.AppendRow(std::move(row)));
-  }
+  t.num_rows_ = doc.as_array().size();
   return t;
 }
 

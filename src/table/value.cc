@@ -32,14 +32,6 @@ DataType DataTypeFromName(std::string_view name) {
   return DataType::kNull;
 }
 
-DataType Value::type() const {
-  if (is_null()) return DataType::kNull;
-  if (is_bool()) return DataType::kBool;
-  if (is_int()) return DataType::kInt64;
-  if (is_double()) return DataType::kDouble;
-  return DataType::kString;
-}
-
 std::string Value::ToString() const {
   switch (type()) {
     case DataType::kNull:

@@ -41,7 +41,8 @@ class Value {
   bool is_string() const { return std::holds_alternative<std::string>(data_); }
   bool is_numeric() const { return is_int() || is_double(); }
 
-  DataType type() const;
+  /// The variant's alternatives are declared in DataType order.
+  DataType type() const { return static_cast<DataType>(data_.index()); }
 
   bool as_bool() const { return std::get<bool>(data_); }
   int64_t as_int() const { return std::get<int64_t>(data_); }

@@ -249,6 +249,40 @@ TEST_F(LakehouseTest, DeleteWhereRewritesFiles) {
   EXPECT_EQ(t->Read(1)->num_rows(), 14u);
 }
 
+/// Part files decode against the table's schema, not by re-sniffing: a
+/// string column of numeric-looking codes keeps its exact spelling, and a
+/// delete matches it by that spelling.
+TEST_F(LakehouseTest, StringColumnKeepsNumericLookingCodes) {
+  const table::Schema schema({{"code", table::DataType::kString, true},
+                              {"price", table::DataType::kDouble, true}});
+  auto t = DeltaTable::Create(store_.get(), "codes", schema);
+  ASSERT_TRUE(t.ok());
+  table::Table rows("codes", schema);
+  ASSERT_TRUE(rows.AppendRow({table::Value("007"), table::Value(2.0)}).ok());
+  ASSERT_TRUE(rows.AppendRow({table::Value("1.50"), table::Value(3.5)}).ok());
+  ASSERT_TRUE(rows.AppendRow({table::Value(" 42"), table::Value(1.0)}).ok());
+  ASSERT_TRUE(t->Append(rows).ok());
+
+  auto data = t->Read();
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(data->schema(), schema);
+  ASSERT_EQ(data->num_rows(), 3u);
+  EXPECT_EQ(data->at(0, 0), table::Value("007"));
+  EXPECT_EQ(data->at(1, 0), table::Value("1.50"));
+  EXPECT_EQ(data->at(2, 0), table::Value(" 42"));
+  EXPECT_TRUE(data->at(0, 1).is_double());  // "2" in the part file
+
+  auto pred = query::Expr::Compare(query::CmpOp::kEq,
+                                   query::Expr::Column("code"),
+                                   query::Expr::Literal(table::Value("007")));
+  ASSERT_TRUE(t->DeleteWhere(*pred).ok());
+  auto after = t->Read();
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->num_rows(), 2u);
+  EXPECT_EQ(after->at(0, 0), table::Value("1.50"));
+  EXPECT_EQ(after->at(1, 0), table::Value(" 42"));
+}
+
 TEST_F(LakehouseTest, DeleteWithNoMatchesIsNoop) {
   auto t = DeltaTable::Create(store_.get(), "orders", OrdersSchema());
   ASSERT_TRUE(t.ok());

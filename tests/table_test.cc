@@ -82,6 +82,126 @@ TEST(TableTest, AppendRowArityMismatch) {
   EXPECT_EQ(t.num_rows(), 0u);
 }
 
+constexpr DataType kAllTypes[] = {DataType::kNull, DataType::kBool,
+                                  DataType::kInt64, DataType::kDouble,
+                                  DataType::kString};
+
+/// A non-NULL cell of `type` (NULL for kNull).
+Value CellOf(DataType type) {
+  switch (type) {
+    case DataType::kNull:
+      return Value::Null();
+    case DataType::kBool:
+      return Value(true);
+    case DataType::kInt64:
+      return Value(int64_t{1});
+    case DataType::kDouble:
+      return Value(1.5);
+    case DataType::kString:
+      return Value("x");
+  }
+  return Value::Null();
+}
+
+std::string PairName(DataType field, DataType cell) {
+  return "field " + std::string(DataTypeName(field)) + ", cell " +
+         std::string(DataTypeName(cell));
+}
+
+TEST(TableTest, AppendRowRejectsCellsOfAnotherType) {
+  for (DataType field : kAllTypes) {
+    for (DataType cell : kAllTypes) {
+      if (cell == DataType::kNull) continue;  // NULL fits every field
+      SCOPED_TRACE(PairName(field, cell));
+      // The cell under test sits in the second column, so a rejected row
+      // must not leave its first cell behind.
+      Table t("t", Schema({{"a", DataType::kInt64, true},
+                           {"b", field, true}}));
+      const Status st = t.AppendRow({Value(int64_t{7}), CellOf(cell)});
+      if (cell == field) {
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        EXPECT_EQ(t.num_rows(), 1u);
+        EXPECT_EQ(t.at(0, 1), CellOf(cell));
+      } else {
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(t.num_rows(), 0u);
+        EXPECT_TRUE(t.column(0).empty());
+        EXPECT_TRUE(t.column(1).empty());
+      }
+      EXPECT_TRUE(t.AppendRow({Value(int64_t{8}), Value::Null()}).ok());
+    }
+  }
+}
+
+TEST(TableTest, FromColumnsChecksFieldTypesAgainstSources) {
+  for (DataType source : kAllTypes) {
+    Table src("src", Schema({{"c", source, true}}));
+    ASSERT_TRUE(src.AppendRow({CellOf(source)}).ok());
+    ASSERT_TRUE(src.AppendRow({Value::Null()}).ok());
+    for (DataType field : kAllTypes) {
+      SCOPED_TRACE(PairName(field, source));
+      const uint32_t rows[] = {1, Table::kNullRow, 0};
+      for (const uint32_t* gather : {static_cast<const uint32_t*>(nullptr),
+                                     static_cast<const uint32_t*>(rows)}) {
+        const size_t n = gather == nullptr ? 2 : 3;
+        auto t = Table::FromColumns("t", Schema({{"f", field, true}}),
+                                    {Table::ColumnSource{&src, 0, gather}}, n);
+        if (field != source) {
+          EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+          continue;
+        }
+        ASSERT_TRUE(t.ok()) << t.status().ToString();
+        ASSERT_EQ(t->num_rows(), n);
+        EXPECT_EQ(t->at(gather == nullptr ? 0 : 2, 0), CellOf(source));
+        EXPECT_TRUE(t->at(1, 0).is_null());
+      }
+    }
+  }
+}
+
+TEST(TableTest, AppendRowsFromRejectsAnotherSchema) {
+  for (DataType source : kAllTypes) {
+    Table src("t", Schema({{"a", source, true}}));
+    ASSERT_TRUE(src.AppendRow({CellOf(source)}).ok());
+    for (DataType field : kAllTypes) {
+      SCOPED_TRACE(PairName(field, source));
+      Table t("t", Schema({{"a", field, true}}));
+      const uint32_t rows[] = {0};
+      const Status st = t.AppendRowsFrom(src, rows, 1);
+      if (field == source) {
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        EXPECT_EQ(t.at(0, 0), CellOf(source));
+      } else {
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(t.num_rows(), 0u);
+        EXPECT_TRUE(t.column(0).empty());
+      }
+    }
+  }
+}
+
+TEST(WidenTypeTest, OneRuleForEveryPair) {
+  for (DataType a : kAllTypes) {
+    EXPECT_EQ(WidenType(a, a), a);
+    EXPECT_EQ(WidenType(a, DataType::kNull), a);
+    EXPECT_EQ(WidenType(DataType::kNull, a), a);
+  }
+  EXPECT_EQ(WidenType(DataType::kInt64, DataType::kDouble), DataType::kDouble);
+  EXPECT_EQ(WidenType(DataType::kDouble, DataType::kInt64), DataType::kDouble);
+  EXPECT_EQ(WidenType(DataType::kBool, DataType::kInt64), DataType::kString);
+  EXPECT_EQ(WidenType(DataType::kDouble, DataType::kString), DataType::kString);
+}
+
+TEST(CoerceValueTest, ConvertsIntoWidenedTypes) {
+  EXPECT_TRUE(CoerceValue(Value(int64_t{3}), DataType::kDouble).is_double());
+  EXPECT_EQ(CoerceValue(Value(int64_t{3}), DataType::kString), Value("3"));
+  EXPECT_EQ(CoerceValue(Value(true), DataType::kString), Value("true"));
+  EXPECT_EQ(CoerceValue(Value(2.5), DataType::kString), Value("2.5"));
+  EXPECT_TRUE(CoerceValue(Value::Null(), DataType::kString).is_null());
+  // No rule narrows: the cell comes back as is, for AppendRow to reject.
+  EXPECT_TRUE(CoerceValue(Value(2.5), DataType::kInt64).is_double());
+}
+
 TEST(SniffTypeTest, DetectsTypes) {
   EXPECT_EQ(SniffType({"1", "2", "-3"}), DataType::kInt64);
   EXPECT_EQ(SniffType({"1.5", "2"}), DataType::kDouble);
@@ -89,6 +209,50 @@ TEST(SniffTypeTest, DetectsTypes) {
   EXPECT_EQ(SniffType({"x", "1"}), DataType::kString);
   EXPECT_EQ(SniffType({"", ""}), DataType::kString);
   EXPECT_EQ(SniffType({"1", "", "2"}), DataType::kInt64);  // empties are NULLs
+  // Past int64: decoding could not store it as an int, so it sniffs double.
+  EXPECT_EQ(SniffType({"99999999999999999999", "1"}), DataType::kDouble);
+}
+
+TEST(TableFromCsvTest, IntegerPastInt64IsADoubleColumn) {
+  auto r = Table::FromCsv("t", "id\n99999999999999999999\n1\n");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->schema().field(0).type, DataType::kDouble);
+  ASSERT_FALSE(r->at(0, 0).is_null());
+  EXPECT_EQ(r->at(0, 0).as_double(), 1e20);
+  EXPECT_EQ(r->at(1, 0).as_double(), 1.0);
+}
+
+TEST(TableFromCsvTest, DecodesAgainstAGivenSchema) {
+  const Schema schema({{"code", DataType::kString, true},
+                       {"n", DataType::kInt64, true},
+                       {"ok", DataType::kBool, true}});
+  auto r = Table::FromCsv("t", "code,n,ok\n007,1,true\n1.50,, false\n", schema);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->schema(), schema);
+  EXPECT_EQ(r->at(0, 0), Value("007"));
+  EXPECT_EQ(r->at(1, 0), Value("1.50"));
+  EXPECT_EQ(r->at(0, 1), Value(int64_t{1}));
+  EXPECT_TRUE(r->at(1, 1).is_null());
+  EXPECT_EQ(r->at(1, 2), Value(false));
+}
+
+TEST(TableFromCsvTest, SchemaDecodeRejectsWhatDoesNotFit) {
+  const Schema schema({{"a", DataType::kInt64, true},
+                       {"b", DataType::kNull, true}});
+  EXPECT_EQ(Table::FromCsv("t", "a,c\n1,\n", schema).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(Table::FromCsv("t", "a\n1\n", schema).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(Table::FromCsv("t", "a,b\nx,\n", schema).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(Table::FromCsv("t", "a,b\n1.5,\n", schema).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(Table::FromCsv("t", "a,b\n1,y\n", schema).status().code(),
+            StatusCode::kCorruption);
+  auto ok = Table::FromCsv("t", "a,b\n 1 ,\n,\n", schema);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->at(0, 0), Value(int64_t{1}));
+  EXPECT_TRUE(ok->at(1, 0).is_null());
 }
 
 TEST(TableFromCsvTest, TypedColumns) {
