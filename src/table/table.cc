@@ -1,5 +1,6 @@
 #include "table/table.h"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
 
@@ -7,6 +8,21 @@
 #include "json/writer.h"
 
 namespace lakekit::table {
+
+namespace {
+
+/// One past the largest row index in rows[0, n): how many rows a gather
+/// reads from its source. With `null_row_reads_null`, kNullRow reads none.
+uint64_t RowsRead(const uint32_t* rows, size_t n, bool null_row_reads_null) {
+  uint64_t read = 0;
+  for (size_t k = 0; k < n; ++k) {
+    if (null_row_reads_null && rows[k] == Table::kNullRow) continue;
+    read = std::max(read, uint64_t{rows[k]} + 1);
+  }
+  return read;
+}
+
+}  // namespace
 
 Table::Table(std::string name, Schema schema)
     : name_(std::move(name)),
@@ -44,6 +60,13 @@ Status Table::AppendRowsFrom(const Table& src, const uint32_t* rows,
   if (src.schema_ != schema_) {
     return Status::InvalidArgument("AppendRowsFrom: schema mismatch");
   }
+  const uint64_t read =
+      rows == nullptr ? n : RowsRead(rows, n, /*null_row_reads_null=*/false);
+  if (read > src.num_rows_) {
+    return Status::InvalidArgument(
+        "AppendRowsFrom: reads " + std::to_string(read) + " rows, source has " +
+        std::to_string(src.num_rows_));
+  }
   for (size_t c = 0; c < columns_.size(); ++c) {
     const std::vector<Value>& from = src.columns_[c];
     std::vector<Value>& to = columns_[c];
@@ -68,6 +91,10 @@ Result<Table> Table::FromColumns(std::string name, Schema schema,
   }
   for (size_t c = 0; c < sources.size(); ++c) {
     const ColumnSource& src = sources[c];
+    if (src.table == nullptr) {
+      return Status::InvalidArgument("FromColumns: column " +
+                                     std::to_string(c) + " has no source");
+    }
     if (src.column >= src.table->num_columns()) {
       return Status::InvalidArgument("FromColumns: no source column " +
                                      std::to_string(src.column));
@@ -79,10 +106,19 @@ Result<Table> Table::FromColumns(std::string name, Schema schema,
           std::string(DataTypeName(schema.field(c).type)) +
           ", its source is " + std::string(DataTypeName(from)));
     }
-    if (src.rows == nullptr && src.table->num_rows() < num_rows) {
+    // Columns of one table gathered through one index array (a join side)
+    // share a bounds check: one pass over the indexes, never over cells.
+    const bool checked = c > 0 && src.table == sources[c - 1].table &&
+                         src.rows == sources[c - 1].rows;
+    if (checked) continue;
+    const uint64_t read =
+        src.rows == nullptr
+            ? num_rows
+            : RowsRead(src.rows, num_rows, /*null_row_reads_null=*/true);
+    if (read > src.table->num_rows()) {
       return Status::InvalidArgument(
-          "FromColumns: source has " + std::to_string(src.table->num_rows()) +
-          " rows, expected " + std::to_string(num_rows));
+          "FromColumns: reads " + std::to_string(read) + " rows, source has " +
+          std::to_string(src.table->num_rows()));
     }
   }
   Table t(std::move(name), std::move(schema));

@@ -46,8 +46,9 @@ class Table {
 
   /// Appends `n` rows of `src`, identified by row index (or rows [0, n) in
   /// order when `rows` is nullptr), column-wise — the gather primitive of
-  /// the vectorized query engine (no per-row materialization). `src` must
-  /// have this table's schema.
+  /// the vectorized query engine (no per-row materialization). Returns
+  /// InvalidArgument, appending nothing, unless `src` has this table's
+  /// schema and every row read is below `src.num_rows()`.
   Status AppendRowsFrom(const Table& src, const uint32_t* rows, size_t n);
 
   /// A row index that reads as NULL in a `ColumnSource`.
@@ -65,9 +66,11 @@ class Table {
 
   /// Builds a table whose column i is gathered from `sources[i]`. Its cells
   /// come from other tables, so they already hold their source field's
-  /// type: each field's type is checked once against its source field's
-  /// (InvalidArgument on a mismatch), never per cell. `num_rows` is explicit
-  /// so zero-column tables (e.g. an empty projection) keep their row count.
+  /// type: each field's type is checked once against its source field's,
+  /// never per cell. InvalidArgument on a type mismatch, a null table, a
+  /// missing column or a row index past the source's rows. `num_rows` is
+  /// explicit so zero-column tables (e.g. an empty projection) keep their
+  /// row count.
   static Result<Table> FromColumns(std::string name, Schema schema,
                                    const std::vector<ColumnSource>& sources,
                                    size_t num_rows);

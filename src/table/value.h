@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 
 namespace lakekit::table {
@@ -41,7 +42,8 @@ class Value {
   bool is_string() const { return std::holds_alternative<std::string>(data_); }
   bool is_numeric() const { return is_int() || is_double(); }
 
-  /// The variant's alternatives are declared in DataType order.
+  /// The variant's alternatives are declared in DataType order (checked
+  /// by the static_asserts next to data_).
   DataType type() const { return static_cast<DataType>(data_.index()); }
 
   bool as_bool() const { return std::get<bool>(data_); }
@@ -79,7 +81,22 @@ class Value {
   uint64_t Hash() const;
 
  private:
-  std::variant<std::monostate, bool, int64_t, double, std::string> data_;
+  using Data = std::variant<std::monostate, bool, int64_t, double, std::string>;
+
+  /// The alternative of Data that holds a cell of `type`.
+  template <DataType type>
+  using Alternative =
+      std::variant_alternative_t<static_cast<size_t>(type), Data>;
+
+  // type() casts the variant index to a DataType, so the alternatives must
+  // stay in DataType order.
+  static_assert(std::is_same_v<Alternative<DataType::kNull>, std::monostate>);
+  static_assert(std::is_same_v<Alternative<DataType::kBool>, bool>);
+  static_assert(std::is_same_v<Alternative<DataType::kInt64>, int64_t>);
+  static_assert(std::is_same_v<Alternative<DataType::kDouble>, double>);
+  static_assert(std::is_same_v<Alternative<DataType::kString>, std::string>);
+
+  Data data_;
 };
 
 /// Hash functor for unordered containers keyed by Value.

@@ -180,6 +180,53 @@ TEST(TableTest, AppendRowsFromRejectsAnotherSchema) {
   }
 }
 
+TEST(TableTest, AppendRowsFromRejectsRowsPastTheSource) {
+  Table src("t", Schema({{"a", DataType::kInt64, true}}));
+  ASSERT_TRUE(src.AppendRow({Value(int64_t{1})}).ok());
+  ASSERT_TRUE(src.AppendRow({Value(int64_t{2})}).ok());
+  Table t("t", src.schema());
+  EXPECT_EQ(t.AppendRowsFrom(src, nullptr, 3).code(),
+            StatusCode::kInvalidArgument);
+  const uint32_t past[] = {0, 2};
+  EXPECT_EQ(t.AppendRowsFrom(src, past, 2).code(),
+            StatusCode::kInvalidArgument);
+  const uint32_t null_row[] = {Table::kNullRow};
+  EXPECT_EQ(t.AppendRowsFrom(src, null_row, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.num_rows(), 0u);
+  EXPECT_TRUE(t.column(0).empty());
+  const uint32_t last[] = {1};
+  ASSERT_TRUE(t.AppendRowsFrom(src, last, 1).ok());
+  ASSERT_TRUE(t.AppendRowsFrom(src, nullptr, 2).ok());
+  EXPECT_EQ(t.num_rows(), 3u);
+  EXPECT_EQ(t.at(0, 0), Value(int64_t{2}));
+}
+
+TEST(TableTest, FromColumnsRejectsMissingSourcesAndRowsPastThem) {
+  Table src("src", Schema({{"a", DataType::kInt64, true}}));
+  ASSERT_TRUE(src.AppendRow({Value(int64_t{1})}).ok());
+  ASSERT_TRUE(src.AppendRow({Value(int64_t{2})}).ok());
+  const Schema schema({{"a", DataType::kInt64, true}});
+  auto gather = [&](Table::ColumnSource source, size_t n) {
+    return Table::FromColumns("t", schema, {source}, n).status().code();
+  };
+  EXPECT_EQ(gather({nullptr, 0, nullptr}, 1), StatusCode::kInvalidArgument);
+  EXPECT_EQ(gather({&src, 1, nullptr}, 1), StatusCode::kInvalidArgument);
+  EXPECT_EQ(gather({&src, 0, nullptr}, 3), StatusCode::kInvalidArgument);
+  const uint32_t past[] = {Table::kNullRow, 2};
+  EXPECT_EQ(gather({&src, 0, past}, 2), StatusCode::kInvalidArgument);
+  const uint32_t in_range[] = {Table::kNullRow, 1};
+  EXPECT_EQ(gather({&src, 0, in_range}, 2), StatusCode::kOk);
+  // A second column gathered through the same indexes from another table
+  // is checked against that table's rows.
+  Table one_row("one", src.schema());
+  ASSERT_TRUE(one_row.AppendRow({Value(int64_t{3})}).ok());
+  auto two = Table::FromColumns(
+      "t", Schema({{"a", DataType::kInt64, true}, {"b", DataType::kInt64, true}}),
+      {{&src, 0, in_range}, {&one_row, 0, in_range}}, 2);
+  EXPECT_EQ(two.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(WidenTypeTest, OneRuleForEveryPair) {
   for (DataType a : kAllTypes) {
     EXPECT_EQ(WidenType(a, a), a);
@@ -209,6 +256,11 @@ TEST(SniffTypeTest, DetectsTypes) {
   EXPECT_EQ(SniffType({"x", "1"}), DataType::kString);
   EXPECT_EQ(SniffType({"", ""}), DataType::kString);
   EXPECT_EQ(SniffType({"1", "", "2"}), DataType::kInt64);  // empties are NULLs
+  // A double must parse as a whole: a numeric prefix is not enough.
+  EXPECT_EQ(SniffType({"3.14"}), DataType::kDouble);
+  EXPECT_EQ(SniffType({"-2.5e3"}), DataType::kDouble);
+  EXPECT_EQ(SniffType({"12abc"}), DataType::kString);
+  EXPECT_EQ(SniffType({"abc"}), DataType::kString);
   // Past int64: decoding could not store it as an int, so it sniffs double.
   EXPECT_EQ(SniffType({"99999999999999999999", "1"}), DataType::kDouble);
 }
