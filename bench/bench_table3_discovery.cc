@@ -152,16 +152,16 @@ void BM_Discovery_AllPairs_BruteForce(benchmark::State& state) {
 
 /// Fixture-construction cost, serial vs. parallel: corpus sketch building
 /// (and lake generation below) is the wall-time floor of every experiment
-/// here, and the first hot path driven by the execution layer. The two
-/// variants produce bit-identical corpora (see CorpusParallelTest); the
-/// ratio of their times is the thread-pool speedup on this machine.
+/// here, and the first hot path driven by the execution layer. Serial is
+/// the same batch on a one-worker pool (the calling thread helps drain it).
+/// The two variants produce bit-identical corpora (see CorpusParallelTest);
+/// the ratio of their times is the thread-pool speedup on this machine.
 void BM_Discovery_CorpusBuild_Serial(benchmark::State& state) {
   Fixture& f = GetFixture(static_cast<int>(state.range(0)));
+  lakekit::ThreadPool one_worker(1);
   for (auto _ : state) {
     Corpus corpus;
-    for (const auto& t : f.lake.tables) {
-      LAKEKIT_CHECK_OK(corpus.AddTable(t));
-    }
+    LAKEKIT_CHECK_OK(corpus.AddTables(f.lake.tables, &one_worker));
     benchmark::DoNotOptimize(corpus.num_columns());
   }
   state.counters["columns"] = static_cast<double>(f.corpus->num_columns());

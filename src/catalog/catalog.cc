@@ -191,9 +191,9 @@ std::vector<std::string> Catalog::ListDatasets() const {
   return out;
 }
 
-std::vector<DatasetEntry> Catalog::Search(std::string_view keyword) const {
+std::vector<DatasetEntry> Catalog::Scan(
+    const std::function<bool(const DatasetEntry&)>& keep) const {
   std::vector<DatasetEntry> out;
-  std::string needle = ToLower(keyword);
   Result<std::vector<std::pair<std::string, std::string>>> pairs =
       store_->ScanPrefix("ds/");
   if (!pairs.ok()) return out;
@@ -202,36 +202,32 @@ std::vector<DatasetEntry> Catalog::Search(std::string_view keyword) const {
     if (!v.ok()) continue;
     Result<DatasetEntry> e = DatasetEntry::FromJson(*v);
     if (!e.ok()) continue;
-    std::string haystack = ToLower(e->name) + " " + ToLower(e->description) +
-                           " " + ToLower(e->schema);
-    for (const std::string& tag : e->tags) haystack += " " + ToLower(tag);
-    if (haystack.find(needle) != std::string::npos) {
-      out.push_back(std::move(*e));
-    }
+    if (keep(*e)) out.push_back(std::move(*e));
   }
   return out;
+}
+
+std::vector<DatasetEntry> Catalog::Search(std::string_view keyword) const {
+  const std::string needle = ToLower(keyword);
+  return Scan([&needle](const DatasetEntry& e) {
+    std::string haystack = ToLower(e.name) + " " + ToLower(e.description) +
+                           " " + ToLower(e.schema);
+    for (const std::string& tag : e.tags) haystack += " " + ToLower(tag);
+    for (const std::string& kw : JsonToStrings(e.content.Get("keywords"))) {
+      haystack += " " + ToLower(kw);
+    }
+    return haystack.find(needle) != std::string::npos;
+  });
 }
 
 std::vector<DatasetEntry> Catalog::FindByTag(std::string_view tag) const {
-  std::vector<DatasetEntry> out;
-  for (const std::string& name : ListDatasets()) {
-    Result<DatasetEntry> e = Get(name);
-    if (!e.ok()) continue;
-    if (std::find(e->tags.begin(), e->tags.end(), tag) != e->tags.end()) {
-      out.push_back(std::move(*e));
-    }
-  }
-  return out;
+  return Scan([tag](const DatasetEntry& e) {
+    return std::find(e.tags.begin(), e.tags.end(), tag) != e.tags.end();
+  });
 }
 
 std::vector<DatasetEntry> Catalog::FindByOwner(std::string_view owner) const {
-  std::vector<DatasetEntry> out;
-  for (const std::string& name : ListDatasets()) {
-    Result<DatasetEntry> e = Get(name);
-    if (!e.ok()) continue;
-    if (e->owner == owner) out.push_back(std::move(*e));
-  }
-  return out;
+  return Scan([owner](const DatasetEntry& e) { return e.owner == owner; });
 }
 
 }  // namespace lakekit::catalog

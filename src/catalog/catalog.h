@@ -2,6 +2,7 @@
 #define LAKEKIT_CATALOG_CATALOG_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -87,8 +88,8 @@ class Catalog {
   /// Names of all registered datasets, sorted.
   std::vector<std::string> ListDatasets() const;
 
-  /// Entries whose name, description, schema, tags or keywords contain
-  /// `keyword` (case-insensitive).
+  /// Entries whose name, description, schema, tags or content keywords
+  /// (`content["keywords"]`) contain `keyword` (case-insensitive).
   std::vector<DatasetEntry> Search(std::string_view keyword) const;
 
   /// Entries carrying `tag`.
@@ -103,6 +104,11 @@ class Catalog {
   explicit Catalog(std::unique_ptr<storage::KvStore> store);
 
   int64_t NextTimestamp();
+
+  /// The current entries that `keep` accepts, in name order: one pass over
+  /// the store, each entry read and parsed once.
+  std::vector<DatasetEntry> Scan(
+      const std::function<bool(const DatasetEntry&)>& keep) const;
 
   std::unique_ptr<storage::KvStore> store_;
   int64_t clock_ = 0;

@@ -1,9 +1,5 @@
 #include "core/data_lake.h"
 
-#include "ingest/format_detect.h"
-#include "json/parser.h"
-#include "json/writer.h"
-
 namespace lakekit::core {
 
 using storage::DataFormat;
@@ -72,37 +68,26 @@ Result<catalog::DatasetEntry> DataLake::IngestFile(
     std::string_view content, const IngestOptions& options) {
   const std::string path = "landing/" + std::string(name) + "/" +
                            std::string(filename);
-  LAKEKIT_ASSIGN_OR_RETURN(ingest::FileProfile profile,
-                           ingest::Profiler::ProfileFile(filename, path,
-                                                         content));
-  // Route per format.
-  switch (storage::Polystore::RouteFormat(profile.format)) {
-    case StoreKind::kRelational: {
-      LAKEKIT_ASSIGN_OR_RETURN(
-          table::Table t, table::Table::FromCsv(std::string(name), content));
-      LAKEKIT_RETURN_IF_ERROR(polystore_->StoreTable(name, std::move(t)));
+  LAKEKIT_ASSIGN_OR_RETURN(ingest::DecodedFile decoded,
+                           ingest::Profiler::DecodeFile(filename, path,
+                                                        content));
+  // Store what the profiler decoded, routed per format.
+  switch (storage::Polystore::RouteFormat(decoded.profile.format)) {
+    case StoreKind::kRelational:
+      decoded.table.set_name(std::string(name));
+      LAKEKIT_RETURN_IF_ERROR(
+          polystore_->StoreTable(name, std::move(decoded.table)));
       break;
-    }
-    case StoreKind::kDocument: {
-      // Array document, single object, or NDJSON.
-      std::vector<json::Value> docs;
-      Result<json::Value> whole = json::Parse(content);
-      if (whole.ok() && whole->is_array()) {
-        for (json::Value& d : whole->as_array()) docs.push_back(std::move(d));
-      } else if (whole.ok() && whole->is_object()) {
-        docs.push_back(std::move(whole).value());
-      } else {
-        LAKEKIT_ASSIGN_OR_RETURN(docs, json::ParseLines(content));
-      }
-      LAKEKIT_RETURN_IF_ERROR(polystore_->StoreDocuments(name, std::move(docs)));
+    case StoreKind::kDocument:
+      LAKEKIT_RETURN_IF_ERROR(
+          polystore_->StoreDocuments(name, std::move(decoded.documents)));
       break;
-    }
     case StoreKind::kGraph:
     case StoreKind::kObject:
       LAKEKIT_RETURN_IF_ERROR(polystore_->StoreObject(name, path, content));
       break;
   }
-  return CatalogDataset(name, profile, options);
+  return CatalogDataset(name, decoded.profile, options);
 }
 
 Result<catalog::DatasetEntry> DataLake::IngestTable(
@@ -120,13 +105,15 @@ Result<catalog::DatasetEntry> DataLake::IngestTable(
 }
 
 Status DataLake::BuildDiscoveryIndexes() {
-  corpus_ = std::make_unique<discovery::Corpus>();
+  std::vector<table::Table> tables;
   for (const std::string& name : polystore_->DatasetNames()) {
     Result<table::Table> t = polystore_->ReadAsTable(name);
     if (!t.ok()) continue;  // graph/binary datasets have no tabular view
     t->set_name(name);
-    LAKEKIT_RETURN_IF_ERROR(corpus_->AddTable(std::move(*t)).status());
+    tables.push_back(std::move(*t));
   }
+  corpus_ = std::make_unique<discovery::Corpus>();
+  LAKEKIT_RETURN_IF_ERROR(corpus_->AddTables(std::move(tables)).status());
   aurum_ = std::make_unique<discovery::AurumFinder>(corpus_.get());
   LAKEKIT_RETURN_IF_ERROR(aurum_->Build());
   josie_ = std::make_unique<discovery::JosieFinder>(corpus_.get());

@@ -62,22 +62,11 @@ void Corpus::RegisterSemanticDomain(const std::string& domain,
 }
 
 Result<size_t> Corpus::AddTable(table::Table t) {
-  if (table_index_.find(t.name()) != table_index_.end()) {
-    return Status::AlreadyExists("table '" + t.name() +
-                                 "' already in corpus");
-  }
-  size_t table_idx = tables_.size();
-  table_index_[t.name()] = table_idx;
-  tables_.push_back(std::move(t));
-  const table::Table& stored = tables_.back();
-  size_t first_sketch = sketches_.size();
-  for (size_t c = 0; c < stored.num_columns(); ++c) {
-    ColumnId id{static_cast<uint32_t>(table_idx), static_cast<uint32_t>(c)};
-    sketch_index_[id.Packed()] = sketches_.size();
-    sketches_.push_back(BuildSketch(id, stored, c));
-  }
-  sketch_range_.emplace_back(first_sketch, sketches_.size());
-  return table_idx;
+  std::vector<table::Table> batch;
+  batch.push_back(std::move(t));
+  LAKEKIT_ASSIGN_OR_RETURN(std::vector<size_t> indexes,
+                           AddTables(std::move(batch)));
+  return indexes.front();
 }
 
 Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
@@ -123,7 +112,7 @@ Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
 
   // Parallel sketch building: each task writes exactly one pre-sized slot,
   // and BuildSketch reads only const state (tables_, minhasher_, embedder_),
-  // so the result is bit-identical to the serial AddTable path.
+  // so the result does not depend on the pool's size.
   ParallelOptions par;
   par.pool = pool;
   LAKEKIT_RETURN_IF_ERROR(ParallelFor(

@@ -100,18 +100,20 @@ class Corpus {
  public:
   explicit Corpus(CorpusOptions options = {});
 
-  /// Ingests a table, computing sketches for every column on the calling
-  /// thread. Returns the table index. Table names must be unique.
+  /// Ingests one table: `AddTables` with a one-table batch on the default
+  /// pool. Returns the table index. Table names must be unique.
   Result<size_t> AddTable(table::Table t);
 
-  /// Batch ingestion: adds every table, building all column sketches in
-  /// parallel on `pool` (nullptr -> ThreadPool::Default(); a pool of size 1
-  /// is the serial opt-out). Returns the table indexes, in input order.
+  /// Batch ingestion, the one path that builds column sketches: adds every
+  /// table, building all column sketches in parallel on `pool` (nullptr ->
+  /// ThreadPool::Default(); a pool of size 1 is the serial opt-out). Returns
+  /// the table indexes, in input order.
   ///
   /// Determinism contract: each sketch is a pure function of its column and
   /// the corpus options, and results are written to pre-sized slots, so
-  /// sketch order and every signature/embedding are bit-identical to adding
-  /// the same tables one-by-one with AddTable — regardless of thread count.
+  /// sketch order and every signature/embedding are bit-identical however
+  /// the tables are batched — one call or one per table — and whatever the
+  /// pool's size.
   ///
   /// Fails without side effects if any name is a duplicate (within the batch
   /// or against already-ingested tables). Not safe to call concurrently with

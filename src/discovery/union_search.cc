@@ -65,21 +65,6 @@ std::vector<AttributeAlignment> UnionSearch::AlignTables(
   return alignment;
 }
 
-double UnionSearch::TableUnionability(size_t query_table,
-                                      size_t candidate_table) const {
-  std::vector<AttributeAlignment> alignment =
-      AlignTables(query_table, candidate_table);
-  if (alignment.empty()) return 0.0;
-  double sum = 0;
-  for (const AttributeAlignment& a : alignment) sum += a.score;
-  const double query_cols =
-      static_cast<double>(corpus_->TableSketches(query_table).size());
-  const double coverage =
-      query_cols == 0 ? 0.0
-                      : static_cast<double>(alignment.size()) / query_cols;
-  return (sum / static_cast<double>(alignment.size())) * coverage;
-}
-
 std::vector<UnionMatch> UnionSearch::TopKUnionableTables(size_t query_table,
                                                          size_t k) const {
   std::vector<UnionMatch> out;

@@ -51,11 +51,8 @@ class UnionSearch {
   std::vector<AttributeAlignment> AlignTables(size_t query_table,
                                               size_t candidate_table) const;
 
-  /// Unionability score of a candidate table: mean aligned score *
-  /// (aligned / query columns).
-  double TableUnionability(size_t query_table, size_t candidate_table) const;
-
-  /// Top-k unionable tables for the query table.
+  /// Top-k unionable tables for the query table, each scored by its mean
+  /// aligned-attribute score * (aligned / query columns).
   std::vector<UnionMatch> TopKUnionableTables(size_t query_table,
                                               size_t k) const;
 

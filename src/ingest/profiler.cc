@@ -24,8 +24,11 @@ ColumnProfile Profiler::ProfileColumn(std::string name,
   p.name = std::move(name);
   p.row_count = values.size();
 
+  auto first = std::find_if(values.begin(), values.end(),
+                            [](const Value& v) { return !v.is_null(); });
+  p.type = first == values.end() ? DataType::kString : first->type();
+
   std::unordered_map<std::string, size_t> counts;
-  DataType widest = DataType::kNull;
   double sum = 0;
   double sq_sum = 0;
   size_t numeric_count = 0;
@@ -37,15 +40,6 @@ ColumnProfile Profiler::ProfileColumn(std::string name,
     if (v.is_null()) {
       ++p.null_count;
       continue;
-    }
-    DataType t = v.type();
-    if (widest == DataType::kNull) {
-      widest = t;
-    } else if (widest != t) {
-      widest = ((widest == DataType::kInt64 && t == DataType::kDouble) ||
-                (widest == DataType::kDouble && t == DataType::kInt64))
-                   ? DataType::kDouble
-                   : DataType::kString;
     }
     ++counts[v.ToString()];
     if (v.is_numeric()) {
@@ -67,7 +61,6 @@ ColumnProfile Profiler::ProfileColumn(std::string name,
       ++string_count;
     }
   }
-  p.type = widest == DataType::kNull ? DataType::kString : widest;
   p.distinct_count = counts.size();
   if (numeric_count > 0) {
     p.mean = sum / static_cast<double>(numeric_count);
@@ -131,10 +124,11 @@ std::vector<std::string> Profiler::ExtractKeywords(std::string_view content,
   return keywords;
 }
 
-Result<FileProfile> Profiler::ProfileFile(std::string_view name,
-                                          std::string_view path,
-                                          std::string_view content) {
-  FileProfile profile;
+Result<DecodedFile> Profiler::DecodeFile(std::string_view name,
+                                         std::string_view path,
+                                         std::string_view content) {
+  DecodedFile decoded;
+  FileProfile& profile = decoded.profile;
   profile.name = std::string(name);
   profile.path = std::string(path);
   profile.size_bytes = content.size();
@@ -145,29 +139,32 @@ Result<FileProfile> Profiler::ProfileFile(std::string_view name,
 
   switch (profile.format) {
     case DataFormat::kCsv: {
-      LAKEKIT_ASSIGN_OR_RETURN(Table t,
+      LAKEKIT_ASSIGN_OR_RETURN(decoded.table,
                                Table::FromCsv(profile.name, content));
-      profile.num_records = t.num_rows();
-      profile.columns = ProfileTable(t);
+      profile.num_records = decoded.table.num_rows();
+      profile.columns = ProfileTable(decoded.table);
       break;
     }
     case DataFormat::kJson: {
-      // Whole-file array, single object, or NDJSON.
-      json::Array docs;
+      // Whole-file array, single object, or NDJSON: parsed once, flattened
+      // where it lies, then its elements move into the documents.
+      json::Value docs;
       Result<json::Value> whole = json::Parse(content);
       if (whole.ok() && whole->is_array()) {
-        docs = whole->as_array();
+        docs = std::move(whole).value();
       } else if (whole.ok() && whole->is_object()) {
-        docs.push_back(std::move(whole).value());
+        json::Array one;
+        one.push_back(std::move(whole).value());
+        docs = json::Value(std::move(one));
       } else {
-        LAKEKIT_ASSIGN_OR_RETURN(auto lines, json::ParseLines(content));
-        docs = std::move(lines);
+        LAKEKIT_ASSIGN_OR_RETURN(json::Array lines, json::ParseLines(content));
+        docs = json::Value(std::move(lines));
       }
-      profile.num_records = docs.size();
-      LAKEKIT_ASSIGN_OR_RETURN(
-          Table t, Table::FromJson(profile.name,
-                                   json::Value(std::move(docs))));
-      profile.columns = ProfileTable(t);
+      LAKEKIT_ASSIGN_OR_RETURN(decoded.table,
+                               Table::FromJson(profile.name, docs));
+      profile.num_records = decoded.table.num_rows();
+      profile.columns = ProfileTable(decoded.table);
+      decoded.documents = std::move(docs.as_array());
       break;
     }
     case DataFormat::kLog:
@@ -185,7 +182,15 @@ Result<FileProfile> Profiler::ProfileFile(std::string_view name,
       // Context metadata only.
       break;
   }
-  return profile;
+  return decoded;
+}
+
+Result<FileProfile> Profiler::ProfileFile(std::string_view name,
+                                          std::string_view path,
+                                          std::string_view content) {
+  LAKEKIT_ASSIGN_OR_RETURN(DecodedFile decoded,
+                           DecodeFile(name, path, content));
+  return std::move(decoded.profile);
 }
 
 }  // namespace lakekit::ingest

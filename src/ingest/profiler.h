@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "json/value.h"
 #include "storage/polystore.h"
 #include "table/table.h"
 
@@ -59,11 +60,24 @@ struct FileProfile {
   std::vector<std::string> keywords;
 };
 
+/// One raw file decoded once: its profile, and what its bytes decoded to.
+struct DecodedFile {
+  FileProfile profile;
+  /// CSV: the parsed table; JSON: the table the documents flatten to. Named
+  /// after the file. Empty for other formats.
+  table::Table table;
+  /// JSON only: the documents (array elements, the single object, or one
+  /// per NDJSON line).
+  std::vector<json::Value> documents;
+};
+
 /// Skluma-style extensible profiling: file context (name/path/size/extension)
 /// first, then format-specific content extractors.
 class Profiler {
  public:
-  /// Profiles a single column of values.
+  /// Profiles a single column of values, which hold one type as a
+  /// `table::Table` column does. The profile's type is the first non-NULL
+  /// cell's (kString when every cell is NULL).
   static ColumnProfile ProfileColumn(std::string name,
                                      const std::vector<table::Value>& values,
                                      size_t top_k = 5);
@@ -72,9 +86,14 @@ class Profiler {
   static std::vector<ColumnProfile> ProfileTable(const table::Table& t,
                                                  size_t top_k = 5);
 
-  /// Full file profile: detects format, dispatches the right extractor
-  /// (CSV -> column profiles, JSON -> flattened column profiles, logs and
-  /// unknown text -> keywords).
+  /// Detects the format, decodes the bytes once and profiles what they
+  /// decoded to (CSV -> column profiles, JSON -> flattened column profiles,
+  /// logs and unknown text -> keywords). The one format dispatch of ingest.
+  static Result<DecodedFile> DecodeFile(std::string_view name,
+                                        std::string_view path,
+                                        std::string_view content);
+
+  /// `DecodeFile`'s profile alone.
   static Result<FileProfile> ProfileFile(std::string_view name,
                                          std::string_view path,
                                          std::string_view content);

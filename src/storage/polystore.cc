@@ -107,14 +107,18 @@ StoreKind Polystore::RouteFormat(DataFormat format) {
   return StoreKind::kObject;
 }
 
-Status Polystore::RegisterDataset(std::string_view name,
-                                  DatasetLocation location) {
-  auto [it, inserted] =
-      registry_.try_emplace(std::string(name), std::move(location));
-  if (!inserted) {
+Status Polystore::RefuseRegistered(std::string_view name) const {
+  if (registry_.find(name) != registry_.end()) {
     return Status::AlreadyExists("dataset '" + std::string(name) +
                                  "' already registered");
   }
+  return Status::OK();
+}
+
+Status Polystore::RegisterDataset(std::string_view name,
+                                  DatasetLocation location) {
+  LAKEKIT_RETURN_IF_ERROR(RefuseRegistered(name));
+  registry_.emplace(std::string(name), std::move(location));
   return Status::OK();
 }
 
@@ -163,6 +167,7 @@ void Polystore::BumpGeneration(std::string_view name) {
 }
 
 Status Polystore::StoreTable(std::string_view name, table::Table t) {
+  LAKEKIT_RETURN_IF_ERROR(RefuseRegistered(name));
   std::string locator = t.name();
   LAKEKIT_RETURN_IF_ERROR(relational_->CreateTable(std::move(t)));
   LAKEKIT_RETURN_IF_ERROR(
@@ -173,6 +178,7 @@ Status Polystore::StoreTable(std::string_view name, table::Table t) {
 
 Status Polystore::StoreDocuments(std::string_view name,
                                  std::vector<json::Value> docs) {
+  LAKEKIT_RETURN_IF_ERROR(RefuseRegistered(name));
   std::string collection(name);
   for (json::Value& doc : docs) {
     LAKEKIT_RETURN_IF_ERROR(documents_->Insert(collection, std::move(doc)).status());
@@ -185,6 +191,7 @@ Status Polystore::StoreDocuments(std::string_view name,
 
 Status Polystore::StoreObject(std::string_view name, std::string_view key,
                               std::string_view data) {
+  LAKEKIT_RETURN_IF_ERROR(RefuseRegistered(name));
   LAKEKIT_RETURN_IF_ERROR(
       retry_->Run([&] { return objects_->Put(key, data); }));
   return RegisterDataset(name, {StoreKind::kObject, std::string(key)});

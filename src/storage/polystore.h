@@ -91,7 +91,8 @@ class Polystore {
   std::vector<std::string> DatasetNames() const;
 
   /// Convenience ingestion: stores the payload in the routed backend and
-  /// registers the dataset.
+  /// registers the dataset. An already-registered `name` is refused
+  /// (AlreadyExists) before any backend is touched.
   Status StoreTable(std::string_view name, table::Table t);
   Status StoreDocuments(std::string_view name, std::vector<json::Value> docs);
   Status StoreObject(std::string_view name, std::string_view key,
@@ -149,6 +150,10 @@ class Polystore {
   };
 
   Polystore(ObjectStore objects, PolystoreOptions options);
+
+  /// AlreadyExists when `name` is registered: the one duplicate check, run
+  /// by RegisterDataset and by every Store* before it writes.
+  Status RefuseRegistered(std::string_view name) const;
 
   std::unique_ptr<RelationalStore> relational_;
   std::unique_ptr<DocumentStore> documents_;

@@ -148,6 +148,17 @@ TEST_F(CatalogTest, SearchOverNameDescriptionTags) {
   EXPECT_EQ(catalog->Search("medical").size(), 1u);
   EXPECT_EQ(catalog->Search("patients").size(), 1u);
   EXPECT_EQ(catalog->Search("nonexistent").size(), 0u);
+
+  // Content keywords, as the profiler extracts them from a log.
+  DatasetEntry log = MakeEntry("serverlog");
+  auto content = json::Parse(
+      R"({"keywords":["connection","fetching","shard","timeout","while"]})");
+  ASSERT_TRUE(content.ok());
+  log.content = *content;
+  ASSERT_TRUE(catalog->Register(log).ok());
+  auto hits = catalog->Search("Timeout");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].name, "serverlog");
 }
 
 TEST_F(CatalogTest, FindByTagAndOwner) {

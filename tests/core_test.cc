@@ -35,8 +35,8 @@ TEST_F(DataLakeTest, IngestCsvRoutesToRelationalStore) {
   IngestOptions options;
   options.owner = "ada";
   options.tags = {"demo"};
-  auto entry = lake_->IngestFile("orders", "orders.csv",
-                                 "id,total\n1,9.5\n2,3.25\n", options);
+  const std::string bytes = "id,total\n1,9.5\n2,3.25\n";
+  auto entry = lake_->IngestFile("orders", "orders.csv", bytes, options);
   ASSERT_TRUE(entry.ok());
   EXPECT_EQ(entry->format, "csv");
   EXPECT_EQ(entry->num_records, 2u);
@@ -45,18 +45,42 @@ TEST_F(DataLakeTest, IngestCsvRoutesToRelationalStore) {
   auto loc = lake_->polystore().Lookup("orders");
   ASSERT_TRUE(loc.ok());
   EXPECT_EQ(loc->store, storage::StoreKind::kRelational);
+  // The stored table is the one decode of the bytes, under the dataset name.
+  auto stored = lake_->polystore().relational().GetTable(loc->locator);
+  ASSERT_TRUE(stored.ok());
+  auto expected = table::Table::FromCsv("orders", bytes);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ((*stored)->name(), "orders");
+  EXPECT_EQ(**stored, *expected);
 }
 
 TEST_F(DataLakeTest, IngestJsonRoutesToDocumentStore) {
-  auto entry = lake_->IngestFile(
-      "events", "events.json",
-      R"([{"kind":"click","n":1},{"kind":"view","n":2}])");
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(entry->format, "json");
-  auto loc = lake_->polystore().Lookup("events");
-  ASSERT_TRUE(loc.ok());
-  EXPECT_EQ(loc->store, storage::StoreKind::kDocument);
-  EXPECT_EQ(lake_->polystore().documents().Count("events"), 2u);
+  // A whole-file array, a single object and NDJSON each store one document
+  // per record the catalog counts.
+  const struct {
+    const char* name;
+    const char* filename;
+    const char* content;
+    size_t records;
+  } kInputs[] = {
+      {"events", "events.json",
+       R"([{"kind":"click","n":1},{"kind":"view","n":2}])", 2},
+      {"config", "config.json", R"({"mode":"fast","retries":3})", 1},
+      {"stream", "stream.json",
+       "{\"e\":1}\n{\"e\":2}\n{\"e\":3}\n", 3},
+  };
+  for (const auto& in : kInputs) {
+    SCOPED_TRACE(in.name);
+    auto entry = lake_->IngestFile(in.name, in.filename, in.content);
+    ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+    EXPECT_EQ(entry->format, "json");
+    EXPECT_EQ(entry->num_records, in.records);
+    auto loc = lake_->polystore().Lookup(in.name);
+    ASSERT_TRUE(loc.ok());
+    EXPECT_EQ(loc->store, storage::StoreKind::kDocument);
+    EXPECT_EQ(lake_->polystore().documents().Count(loc->locator),
+              entry->num_records);
+  }
 }
 
 TEST_F(DataLakeTest, IngestLogRoutesToObjectStore) {
@@ -73,6 +97,35 @@ TEST_F(DataLakeTest, IngestLogRoutesToObjectStore) {
 TEST_F(DataLakeTest, DuplicateIngestFails) {
   ASSERT_TRUE(lake_->IngestFile("x", "x.csv", "a\n1\n").ok());
   EXPECT_FALSE(lake_->IngestFile("x", "x.csv", "a\n1\n").ok());
+
+  // A refused re-ingest leaves the dataset it collides with untouched, in
+  // every backend: no documents added, no bytes overwritten, no orphan
+  // table.
+  storage::Polystore& ps = lake_->polystore();
+  ASSERT_TRUE(
+      lake_->IngestFile("docs", "docs.json", R"([{"k":1},{"k":2}])").ok());
+  EXPECT_TRUE(lake_->IngestFile("docs", "docs.json", R"([{"k":3}])")
+                  .status()
+                  .IsAlreadyExists());
+  EXPECT_EQ(ps.documents().Count("docs"), 2u);
+
+  const std::string log = "2024-01-01 INFO boot\n";
+  ASSERT_TRUE(lake_->IngestFile("applog", "x.log", log).ok());
+  auto loc = ps.Lookup("applog");
+  ASSERT_TRUE(loc.ok());
+  EXPECT_TRUE(lake_->IngestFile("applog", "x.log", "2024-01-02 WARN new\n")
+                  .status()
+                  .IsAlreadyExists());
+  auto bytes = ps.objects().Get(loc->locator);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, log);
+
+  const size_t tables = ps.relational().num_tables();
+  EXPECT_TRUE(lake_->IngestFile("applog", "applog.csv", "a,b\n1,2\n")
+                  .status()
+                  .IsAlreadyExists());
+  EXPECT_EQ(ps.relational().num_tables(), tables);
+  EXPECT_EQ(lake_->catalog().Get("applog")->format, "log");
 }
 
 TEST_F(DataLakeTest, IngestRecordsProvenance) {

@@ -540,8 +540,9 @@ TEST(UnionSearchTest, AlignmentIsOneToOne) {
 // ------------------------------------------------- parallel determinism
 
 // The execution-layer contract (DESIGN.md): a parallel-built corpus is
-// bit-identical to a serial-built one over the same lake — sketch order,
-// minhash values, embeddings, everything discovery reads.
+// bit-identical to one built on a one-worker pool over the same lake, and
+// to one built a table per AddTable call — sketch order, minhash values,
+// embeddings, everything discovery reads.
 TEST(CorpusParallelTest, ParallelBuildMatchesSerialBitForBit) {
   workload::JoinableLakeOptions options;
   options.num_tables = 16;
@@ -549,10 +550,9 @@ TEST(CorpusParallelTest, ParallelBuildMatchesSerialBitForBit) {
   options.num_planted_pairs = 5;
   workload::JoinableLake lake = workload::MakeJoinableLake(options);
 
+  ThreadPool one_worker(1);
   Corpus serial;
-  for (const auto& t : lake.tables) {
-    ASSERT_TRUE(serial.AddTable(t).ok());
-  }
+  ASSERT_TRUE(serial.AddTables(lake.tables, &one_worker).ok());
 
   ThreadPool pool(4);
   Corpus parallel;
@@ -564,26 +564,33 @@ TEST(CorpusParallelTest, ParallelBuildMatchesSerialBitForBit) {
     EXPECT_EQ((*indexes)[i], i);
   }
 
-  ASSERT_EQ(parallel.num_tables(), serial.num_tables());
-  ASSERT_EQ(parallel.num_columns(), serial.num_columns());
-  for (size_t i = 0; i < serial.sketches().size(); ++i) {
-    const ColumnSketch& s = serial.sketches()[i];
-    const ColumnSketch& p = parallel.sketches()[i];
-    SCOPED_TRACE(s.table_name + "." + s.column_name);
-    EXPECT_EQ(p.id, s.id);
-    EXPECT_EQ(p.table_name, s.table_name);
-    EXPECT_EQ(p.column_name, s.column_name);
-    EXPECT_EQ(p.type, s.type);
-    EXPECT_EQ(p.distinct_values, s.distinct_values);
-    EXPECT_EQ(p.value_set, s.value_set);
-    EXPECT_EQ(p.minhash.values(), s.minhash.values());
-    EXPECT_EQ(p.embedding, s.embedding);
-    EXPECT_EQ(p.format_histogram, s.format_histogram);
-    EXPECT_EQ(p.numeric_values, s.numeric_values);
-    EXPECT_EQ(p.name_tokens, s.name_tokens);
-    EXPECT_EQ(p.profile.distinct_count, s.profile.distinct_count);
-    EXPECT_EQ(p.profile.null_count, s.profile.null_count);
-    EXPECT_EQ(p.profile.is_candidate_key, s.profile.is_candidate_key);
+  Corpus one_at_a_time;
+  for (const auto& t : lake.tables) {
+    ASSERT_TRUE(one_at_a_time.AddTable(t).ok());
+  }
+
+  for (const Corpus* other : {&parallel, &one_at_a_time}) {
+    ASSERT_EQ(other->num_tables(), serial.num_tables());
+    ASSERT_EQ(other->num_columns(), serial.num_columns());
+    for (size_t i = 0; i < serial.sketches().size(); ++i) {
+      const ColumnSketch& s = serial.sketches()[i];
+      const ColumnSketch& p = other->sketches()[i];
+      SCOPED_TRACE(s.table_name + "." + s.column_name);
+      EXPECT_EQ(p.id, s.id);
+      EXPECT_EQ(p.table_name, s.table_name);
+      EXPECT_EQ(p.column_name, s.column_name);
+      EXPECT_EQ(p.type, s.type);
+      EXPECT_EQ(p.distinct_values, s.distinct_values);
+      EXPECT_EQ(p.value_set, s.value_set);
+      EXPECT_EQ(p.minhash.values(), s.minhash.values());
+      EXPECT_EQ(p.embedding, s.embedding);
+      EXPECT_EQ(p.format_histogram, s.format_histogram);
+      EXPECT_EQ(p.numeric_values, s.numeric_values);
+      EXPECT_EQ(p.name_tokens, s.name_tokens);
+      EXPECT_EQ(p.profile.distinct_count, s.profile.distinct_count);
+      EXPECT_EQ(p.profile.null_count, s.profile.null_count);
+      EXPECT_EQ(p.profile.is_candidate_key, s.profile.is_candidate_key);
+    }
   }
 }
 
