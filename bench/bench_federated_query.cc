@@ -280,6 +280,70 @@ void BM_Federated_QueryStorm(benchmark::State& state) {
           : static_cast<double>(ok) / static_cast<double>(ok + failed);
 }
 
+// ------------------------------------- cache-miss decode (DESIGN.md §7, §9)
+
+/// The two CSV shapes a cache miss decodes. Arg 0: 6 000 rows shaped like
+/// lake_e2e's object-tier fact table (id ascending, three int keys, an
+/// amount with two decimals). Arg 1: 800 rows of strings, some past the
+/// 15-byte small-string buffer and some quoted around a comma.
+const std::string& DecodeCsv(int shape) {
+  static const std::string fact = [] {
+    Rng rng(21);
+    std::string out = "id,cust,prod,qty,amount\n";
+    for (int i = 0; i < 6000; ++i) {
+      const int64_t cents = rng.Between(100, 99999);
+      out += std::to_string(i) + "," + std::to_string(rng.Below(300)) + "," +
+             std::to_string(rng.Below(120)) + "," +
+             std::to_string(rng.Between(1, 20)) + "," +
+             std::to_string(cents / 100) + "." +
+             std::to_string(10 + cents % 90) + "\n";
+    }
+    return out;
+  }();
+  static const std::string strings = [] {
+    Rng rng(22);
+    std::string out = "name,city,email,note,code\n";
+    for (int i = 0; i < 800; ++i) {
+      out += rng.NextWord(4 + rng.Below(8)) + "," + rng.NextWord(6) + "," +
+             rng.NextWord(6 + rng.Below(6)) + "@" + rng.NextWord(7) + ".org," +
+             "\"" + rng.NextWord(5) + ", " + rng.NextWord(9) + "\"," + "A-" +
+             std::to_string(rng.Below(10000)) + "\n";
+    }
+    return out;
+  }();
+  return shape == 0 ? fact : strings;
+}
+
+void BM_Table_FromCsv(benchmark::State& state) {
+  // The decode a TableCache miss pays after the object read: tokenize,
+  // sniff each column's type, build the cells.
+  const std::string& csv = DecodeCsv(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto t = table::Table::FromCsv("t", csv);
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(csv.size()));
+}
+
+void BM_ZoneMap_Build(benchmark::State& state) {
+  // The rest of a miss before admission: per-morsel stats of every column.
+  static const std::map<int, table::Table> tables = [] {
+    std::map<int, table::Table> out;
+    for (int shape : {0, 1}) {
+      auto t = table::Table::FromCsv("t", DecodeCsv(shape));
+      LAKEKIT_CHECK_OK(t.status());
+      out.emplace(shape, std::move(*t));
+    }
+    return out;
+  }();
+  const table::Table& t = tables.at(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    ZoneMap zones = ZoneMap::Build(t);
+    benchmark::DoNotOptimize(zones);
+  }
+}
+
 // ------------------------------------------- vectorized operators (1M rows)
 
 constexpr size_t kVecRows = 1'000'000;
@@ -624,5 +688,9 @@ BENCHMARK(BM_Federated_QueryCached)
     ->Args({5000, 50})
     ->Args({100000, 5})
     ->Args({100000, 50});
+
+// Arg: 0 = 6 000-row numeric fact table, 1 = 800-row string table.
+BENCHMARK(BM_Table_FromCsv)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ZoneMap_Build)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -1,106 +1,171 @@
 #include "csv/csv.h"
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 
 namespace lakekit::csv {
 
 namespace {
 
-/// Splits raw CSV text into records of fields, honoring quoting.
-Result<std::vector<std::vector<std::string>>> Tokenize(std::string_view text,
-                                                       char delim) {
-  std::vector<std::vector<std::string>> records;
-  std::vector<std::string> current;
-  std::string field;
+/// Reads the field at `p` one character at a time and appends its content
+/// to `out`: the path for a field that quoting or a '\r' changed. Returns
+/// where the field ends (at a delimiter, a '\n' or `end`), or nullptr when
+/// a quote never closes.
+const char* UnescapeField(const char* p, const char* end, char delim,
+                          std::vector<char>& out) {
+  bool started = false;
   bool in_quotes = false;
-  bool field_started = false;
-  size_t i = 0;
-
-  auto end_field = [&] {
-    current.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  auto end_record = [&] {
-    end_field();
-    records.push_back(std::move(current));
-    current.clear();
-  };
-
-  while (i < text.size()) {
-    char c = text[i];
+  while (p < end) {
+    const char c = *p;
     if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          i += 2;
-        } else {
-          in_quotes = false;
-          ++i;
-        }
+      if (c != '"') {
+        out.push_back(c);
+        ++p;
+      } else if (p + 1 < end && p[1] == '"') {
+        out.push_back('"');
+        p += 2;
       } else {
-        field.push_back(c);
-        ++i;
+        in_quotes = false;
+        ++p;
       }
-      continue;
-    }
-    if (c == '"' && field.empty() && !field_started) {
+    } else if (c == '"' && !started) {
       in_quotes = true;
-      field_started = true;
-      ++i;
-    } else if (c == delim) {
-      end_field();
-      ++i;
-    } else if (c == '\r') {
-      ++i;  // Tolerate CRLF.
-    } else if (c == '\n') {
-      end_record();
-      ++i;
+      started = true;
+      ++p;
+    } else if (c == delim || c == '\n') {
+      return p;
     } else {
-      field.push_back(c);
-      field_started = true;
-      ++i;
+      if (c != '\r') {
+        out.push_back(c);
+        started = true;
+      }
+      ++p;
     }
   }
-  if (in_quotes) {
-    return Status::Corruption("CSV: unterminated quoted field");
-  }
-  // Flush a final record without trailing newline.
-  if (field_started || !field.empty() || !current.empty()) {
-    end_record();
-  }
-  return records;
+  return in_quotes ? nullptr : p;
+}
+
+/// Skips the '\r's at `p` that no field keeps (a '\r' delimiter is kept).
+const char* SkipCarriageReturns(const char* p, const char* end, char delim) {
+  if (delim == '\r') return p;
+  while (p < end && *p == '\r') ++p;
+  return p;
 }
 
 }  // namespace
 
+Result<FieldGrid> Tokenize(std::string_view text, const ParseOptions& options) {
+  const char delim = options.delimiter;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  FieldGrid grid;
+
+  // Reads the field at p into *field and leaves p on its terminator; false
+  // on an unterminated quote. A field is a view into the text when its
+  // content is one run of it: unquoted with '\r's only at its ends, or
+  // quoted without doubled quotes and followed by nothing but '\r's.
+  // Anything else is unescaped into the grid's buffer, reserved at the
+  // text's size on first use: an unescaped field is never longer than its
+  // raw bytes, so the buffer never moves and earlier views stay valid.
+  auto read_field = [&](std::string_view* field) {
+    // '\r's before a field's first byte are dropped, also before a quote.
+    const char* q = SkipCarriageReturns(p, end, delim);
+    if (q < end && *q == '"') {
+      const char* open = q + 1;
+      const char* close = static_cast<const char*>(
+          std::memchr(open, '"', static_cast<size_t>(end - open)));
+      if (close == nullptr) return false;
+      const char* t = close + 1;
+      bool run = t == end || *t != '"';
+      for (; run && t < end && *t != delim && *t != '\n'; ++t) {
+        run = *t == '\r';
+      }
+      if (run) {
+        *field = std::string_view(open, static_cast<size_t>(close - open));
+        p = t;
+        return true;
+      }
+    } else {
+      const char* s = q;
+      bool cr = false;
+      for (; q < end && *q != delim && *q != '\n'; ++q) cr |= *q == '\r';
+      const char* e = q;
+      while (cr && e > s && e[-1] == '\r') --e;
+      if (!cr || std::find(s, e, '\r') == e) {
+        *field = std::string_view(s, static_cast<size_t>(e - s));
+        p = q;
+        return true;
+      }
+    }
+    std::vector<char>& buf = grid.unescaped_;
+    if (buf.capacity() == 0) buf.reserve(text.size());
+    const size_t offset = buf.size();
+    p = UnescapeField(p, end, delim, buf);
+    if (p == nullptr) return false;
+    *field = std::string_view(buf.data() + offset, buf.size() - offset);
+    return true;
+  };
+
+  std::vector<std::string_view> first;  // the first record's fields
+  size_t width = 0;                     // fields per record, from the first
+  size_t records = 0;                   // records read, the header included
+  Status ragged;
+  // A record starts wherever more than dropped '\r's remain.
+  while (SkipCarriageReturns(p, end, delim) < end) {
+    size_t fields = 0;
+    while (true) {
+      std::string_view field;
+      if (!read_field(&field)) {
+        return Status::Corruption("CSV: unterminated quoted field");
+      }
+      if (records == 0) {
+        first.push_back(field);
+      } else if (fields < width) {
+        grid.columns_[fields].push_back(field);
+      }
+      ++fields;
+      if (p == end || *p != delim) break;
+      ++p;
+    }
+    if (p < end) ++p;  // the '\n' ending the record
+    if (records == 0) {
+      width = fields;
+      grid.columns_.resize(width);
+      if (options.has_header) {
+        grid.header_.assign(first.begin(), first.end());
+      } else {
+        for (size_t c = 0; c < width; ++c) {
+          grid.header_.push_back("col" + std::to_string(c));
+          grid.columns_[c].push_back(first[c]);
+        }
+      }
+    } else if (fields != width && ragged.ok()) {
+      ragged = Status::Corruption(
+          "CSV: record " + std::to_string(records) + " has " +
+          std::to_string(fields) + " fields, expected " +
+          std::to_string(width));
+    }
+    ++records;
+  }
+  if (records == 0 && options.has_header) {
+    return Status::Corruption("CSV: empty input but header expected");
+  }
+  LAKEKIT_RETURN_IF_ERROR(ragged);
+  grid.num_records_ = records - (options.has_header ? 1 : 0);
+  return grid;
+}
+
 Result<CsvData> Parse(std::string_view text, const ParseOptions& options) {
-  LAKEKIT_ASSIGN_OR_RETURN(auto records, Tokenize(text, options.delimiter));
+  LAKEKIT_ASSIGN_OR_RETURN(FieldGrid grid, Tokenize(text, options));
   CsvData out;
-  if (records.empty()) {
-    if (options.has_header) {
-      return Status::Corruption("CSV: empty input but header expected");
+  out.header = grid.header();
+  out.records.resize(grid.num_records());
+  for (size_t r = 0; r < grid.num_records(); ++r) {
+    out.records[r].reserve(grid.num_columns());
+    for (size_t c = 0; c < grid.num_columns(); ++c) {
+      out.records[r].emplace_back(grid.field(r, c));
     }
-    return out;
-  }
-  size_t start = 0;
-  if (options.has_header) {
-    out.header = std::move(records[0]);
-    start = 1;
-  } else {
-    out.header.reserve(records[0].size());
-    for (size_t c = 0; c < records[0].size(); ++c) {
-      out.header.push_back("col" + std::to_string(c));
-    }
-  }
-  for (size_t r = start; r < records.size(); ++r) {
-    if (records[r].size() != out.header.size()) {
-      return Status::Corruption(
-          "CSV: record " + std::to_string(r) + " has " +
-          std::to_string(records[r].size()) + " fields, expected " +
-          std::to_string(out.header.size()));
-    }
-    out.records.push_back(std::move(records[r]));
   }
   return out;
 }

@@ -16,12 +16,13 @@ namespace lakekit::query {
 /// skip whole morsels (`CompiledExpr::EvaluateRange`).
 ///
 /// `min`/`max` are materialized Value copies of the column's type (a
-/// Table's cells always hold their field's type), compared under Value's
-/// cross-type total order (NULL < bool < numeric < string), so they bound a
-/// chunk against a literal of any type. They are only meaningful when
-/// `has_values`; `unordered` marks a chunk containing a NaN double, whose
-/// comparisons violate trichotomy — pruning must not trust the range
-/// (EvaluateRange returns kMaybe).
+/// Table's cells always hold their field's type), found by comparing cells
+/// as that type (int64 exactly, never through double). Pruning compares
+/// them under Value's cross-type total order (NULL < bool < numeric <
+/// string), so they bound a chunk against a literal of any type. They are
+/// only meaningful when `has_values`; `unordered` marks a chunk containing
+/// a NaN double, whose comparisons violate trichotomy — pruning must not
+/// trust the range (EvaluateRange returns kMaybe).
 struct ZoneStats {
   table::Value min;
   table::Value max;
@@ -38,8 +39,8 @@ class ZoneMap {
  public:
   ZoneMap() = default;
 
-  /// Scans `t` once, column-at-a-time, building stats for every
-  /// (chunk, column) pair.
+  /// Scans `t` once, column-at-a-time and typed by each field's schema
+  /// type, building stats for every (chunk, column) pair.
   static ZoneMap Build(const table::Table& t);
 
   size_t num_chunks() const { return num_columns_ == 0 ? 0 : stats_.size() / num_columns_; }

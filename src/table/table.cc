@@ -181,21 +181,83 @@ bool ParseAll(std::string_view v, T* out) {
   return ec == std::errc() && ptr == v.data() + v.size();
 }
 
+/// Appends the cell a field non-empty after trimming decodes to in a
+/// `type` column (`v` trimmed, `raw` as written; see Table::FromCsv).
+/// False, appending nothing, when it does not parse as `type`.
+template <DataType type>
+bool AppendCell(std::string_view v, std::string_view raw,
+                std::vector<Value>& cells) {
+  if constexpr (type == DataType::kBool) {
+    if (v != "true" && v != "false") return false;
+    cells.emplace_back(v == "true");
+  } else if constexpr (type == DataType::kInt64) {
+    int64_t i = 0;
+    if (!ParseAll(v, &i)) return false;
+    cells.emplace_back(i);
+  } else if constexpr (type == DataType::kDouble) {
+    double d = 0;
+    if (!ParseAll(v, &d)) return false;
+    cells.emplace_back(d);
+  } else if constexpr (type == DataType::kString) {
+    cells.emplace_back(std::string(raw));
+  } else {
+    return false;  // a NULL column holds only empty fields
+  }
+  return true;
+}
+
+/// Appends one `type` cell per field, NULL for a field empty after
+/// trimming. Returns the index of the first field that does not parse,
+/// having appended the cells before it, or fields.size().
+template <DataType type>
+size_t DecodeFields(std::span<const std::string_view> fields,
+                    std::vector<Value>& cells) {
+  for (size_t r = 0; r < fields.size(); ++r) {
+    const std::string_view v = Trim(fields[r]);
+    if (v.empty()) {
+      cells.emplace_back();
+    } else if (!AppendCell<type>(v, fields[r], cells)) {
+      return r;
+    }
+  }
+  return fields.size();
+}
+
+/// DecodeFields with the type switch outside the row loop.
+size_t DecodeColumn(DataType type, std::span<const std::string_view> fields,
+                    std::vector<Value>& cells) {
+  switch (type) {
+    case DataType::kBool:
+      return DecodeFields<DataType::kBool>(fields, cells);
+    case DataType::kInt64:
+      return DecodeFields<DataType::kInt64>(fields, cells);
+    case DataType::kDouble:
+      return DecodeFields<DataType::kDouble>(fields, cells);
+    case DataType::kString:
+      return DecodeFields<DataType::kString>(fields, cells);
+    case DataType::kNull:
+      break;
+  }
+  return DecodeFields<DataType::kNull>(fields, cells);
+}
+
 }  // namespace
 
-DataType SniffType(const std::vector<std::string>& values) {
+DataType SniffType(std::span<const std::string_view> values) {
   bool all_int = true;
   bool all_num = true;
   bool all_bool = true;
   bool any_non_empty = false;
-  for (const std::string& raw : values) {
+  for (const std::string_view raw : values) {
     std::string_view v = Trim(raw);
     if (v.empty()) continue;
     any_non_empty = true;
     int64_t i = 0;
     double d = 0;
     if (all_int && !ParseAll(v, &i)) all_int = false;
-    if (all_num && !ParseAll(v, &d)) all_num = false;
+    // Every int64 spelling is a double one too, so the double parse waits
+    // for the first field that is not an int64.
+    if (!all_int && all_num && !ParseAll(v, &d)) all_num = false;
     if (all_bool && v != "true" && v != "false") all_bool = false;
     if (!all_int && !all_num && !all_bool) break;
   }
@@ -204,30 +266,6 @@ DataType SniffType(const std::vector<std::string>& values) {
   if (all_int) return DataType::kInt64;
   if (all_num) return DataType::kDouble;
   return DataType::kString;
-}
-
-Value ParseValueAs(std::string_view raw, DataType type) {
-  std::string_view v = Trim(raw);
-  if (v.empty()) return Value::Null();
-  switch (type) {
-    case DataType::kBool:
-      if (v == "true") return Value(true);
-      if (v == "false") return Value(false);
-      return Value::Null();
-    case DataType::kInt64: {
-      int64_t i = 0;
-      return ParseAll(v, &i) ? Value(i) : Value::Null();
-    }
-    case DataType::kDouble: {
-      double d = 0;
-      return ParseAll(v, &d) ? Value(d) : Value::Null();
-    }
-    case DataType::kString:
-      return Value(std::string(raw));
-    case DataType::kNull:
-      return Value::Null();
-  }
-  return Value::Null();
 }
 
 DataType WidenType(DataType a, DataType b) {
@@ -248,51 +286,50 @@ Value CoerceValue(Value v, DataType type) {
   return v;
 }
 
-Result<Table> Table::FromCsvData(std::string name, const csv::CsvData& data,
-                                 Schema schema) {
+Result<Table> Table::FromGrid(std::string name, const csv::FieldGrid& grid,
+                              Schema schema) {
   Table t(std::move(name), std::move(schema));
-  std::vector<DataType> types;
-  types.reserve(t.num_columns());
-  for (const Field& f : t.schema_.fields()) types.push_back(f.type);
-  for (const std::vector<std::string>& rec : data.records) {
-    for (size_t c = 0; c < types.size(); ++c) {
-      Value v = ParseValueAs(rec[c], types[c]);
-      if (v.is_null() && !Trim(rec[c]).empty()) {
-        return Status::Corruption(
-            "CSV field '" + rec[c] + "' of column '" +
-            t.schema_.field(c).name + "' is not " +
-            std::string(DataTypeName(types[c])));
-      }
-      t.columns_[c].push_back(std::move(v));
+  // Columns decode one at a time; the error names the first bad field in
+  // row-major order.
+  size_t bad_row = grid.num_records();
+  size_t bad_col = 0;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    const size_t r =
+        DecodeColumn(t.schema_.field(c).type, grid.column(c), t.columns_[c]);
+    if (r < bad_row) {
+      bad_row = r;
+      bad_col = c;
     }
   }
-  t.num_rows_ = data.records.size();
+  if (bad_row < grid.num_records()) {
+    return Status::Corruption(
+        "CSV field '" + std::string(grid.field(bad_row, bad_col)) +
+        "' of column '" + t.schema_.field(bad_col).name + "' is not " +
+        std::string(DataTypeName(t.schema_.field(bad_col).type)));
+  }
+  t.num_rows_ = grid.num_records();
   return t;
 }
 
 Result<Table> Table::FromCsv(std::string name, std::string_view csv_text) {
-  LAKEKIT_ASSIGN_OR_RETURN(csv::CsvData data, csv::Parse(csv_text));
+  LAKEKIT_ASSIGN_OR_RETURN(csv::FieldGrid grid, csv::Tokenize(csv_text));
   Schema schema;
-  std::vector<std::string> column;
-  column.reserve(data.records.size());
-  for (size_t c = 0; c < data.header.size(); ++c) {
-    column.clear();
-    for (const auto& rec : data.records) column.push_back(rec[c]);
+  for (size_t c = 0; c < grid.num_columns(); ++c) {
     schema.AddField(
-        Field{data.header[c], SniffType(column), /*nullable=*/true});
+        Field{grid.header()[c], SniffType(grid.column(c)), /*nullable=*/true});
   }
-  return FromCsvData(std::move(name), data, std::move(schema));
+  return FromGrid(std::move(name), grid, std::move(schema));
 }
 
 Result<Table> Table::FromCsv(std::string name, std::string_view csv_text,
                              Schema schema) {
-  LAKEKIT_ASSIGN_OR_RETURN(csv::CsvData data, csv::Parse(csv_text));
-  if (data.header != schema.FieldNames()) {
-    return Status::Corruption("CSV header '" + Join(data.header, ",") +
+  LAKEKIT_ASSIGN_OR_RETURN(csv::FieldGrid grid, csv::Tokenize(csv_text));
+  if (grid.header() != schema.FieldNames()) {
+    return Status::Corruption("CSV header '" + Join(grid.header(), ",") +
                               "' does not match the schema [" +
                               schema.ToString() + "]");
   }
-  return FromCsvData(std::move(name), data, std::move(schema));
+  return FromGrid(std::move(name), grid, std::move(schema));
 }
 
 namespace {
@@ -401,6 +438,7 @@ size_t EstimateTableBytes(const Table& t) {
   for (size_t col = 0; col < t.num_columns(); ++col) {
     const std::vector<Value>& cells = t.column(col);
     bytes += cells.capacity() * sizeof(Value);
+    if (t.schema().field(col).type != DataType::kString) continue;
     for (const Value& v : cells) {
       if (const std::string* s = v.get_string()) bytes += s->capacity();
     }

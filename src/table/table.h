@@ -1,6 +1,7 @@
 #ifndef LAKEKIT_TABLE_TABLE_H_
 #define LAKEKIT_TABLE_TABLE_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,7 +24,10 @@ namespace lakekit::table {
 ///
 /// Invariant: every cell is NULL or of its field's type. It is checked
 /// where cells enter a table — AppendRow per cell, AppendRowsFrom and
-/// FromColumns per column — and the decoders establish it by construction.
+/// FromColumns per column — and the decoders establish it by construction:
+/// FromCsv decodes a column only into the type SniffType picked or the
+/// caller's schema gave, and FromJson coerces each cell to its column's
+/// widened type.
 class Table {
  public:
   Table() = default;
@@ -95,9 +99,11 @@ class Table {
   static Result<Table> FromCsv(std::string name, std::string_view csv_text);
 
   /// Decodes CSV text against a known schema: fields empty after trimming
-  /// become NULL, every other field is parsed as its column's type
-  /// (`ParseValueAs`). Returns Corruption when the header differs from the
-  /// schema's field names or a non-empty field does not parse as its type.
+  /// become NULL, every other field is parsed as its column's type (a bool
+  /// is "true" or "false", an int64 or a double the whole trimmed field
+  /// read by std::from_chars, a string the field as written). Returns
+  /// Corruption when the header differs from the schema's field names or a
+  /// non-empty field does not parse as its type.
   static Result<Table> FromCsv(std::string name, std::string_view csv_text,
                                Schema schema);
 
@@ -114,9 +120,10 @@ class Table {
   bool operator==(const Table& other) const;
 
  private:
-  /// The one CSV decode loop behind both FromCsv overloads.
-  static Result<Table> FromCsvData(std::string name, const csv::CsvData& data,
-                                   Schema schema);
+  /// The one CSV decode loop behind both FromCsv overloads: each column
+  /// decoded straight from the tokenized fields.
+  static Result<Table> FromGrid(std::string name, const csv::FieldGrid& grid,
+                                Schema schema);
 
   std::string name_;
   Schema schema_;
@@ -130,16 +137,12 @@ class Table {
 /// (common/memory_budget.h) both price a table with this.
 size_t EstimateTableBytes(const Table& t);
 
-/// Infers the DataType of a column of raw strings (CSV type sniffing): bool
+/// Infers the DataType of a column of raw fields (CSV type sniffing): bool
 /// if every field non-empty after trimming is true/false, int64 if every
 /// one parses into an int64_t, double if every one parses as a double,
 /// else string (also when no field is non-empty). A sniffed type is one
-/// `ParseValueAs` decodes every non-empty field into.
-DataType SniffType(const std::vector<std::string>& values);
-
-/// Parses a raw string into a Value of the given type. A field empty after
-/// trimming, or one that does not parse as `type`, gives NULL.
-Value ParseValueAs(std::string_view raw, DataType type);
+/// `Table::FromCsv` decodes every non-empty field into.
+DataType SniffType(std::span<const std::string_view> values);
 
 /// The widening rule: the type of a column whose cells have types `a` and
 /// `b`. NULL widens to the other type, int64 with double to double, and

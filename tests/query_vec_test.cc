@@ -630,6 +630,25 @@ TEST(ZoneMapTest, BuildComputesPerChunkStats) {
   EXPECT_EQ(id1.row_count, 10u);
 }
 
+TEST(ZoneMapTest, Int64BoundsAreExactPast2To53) {
+  // 2^53 and 2^53 + 1 are one double; their bounds are still exact.
+  constexpr int64_t k2To53 = int64_t{1} << 53;
+  Schema schema;
+  schema.AddField(Field{"up", DataType::kInt64, true});
+  schema.AddField(Field{"down", DataType::kInt64, true});
+  Table t("big", schema);
+  ASSERT_TRUE(t.AppendRow({Value(k2To53), Value(k2To53 + 1)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(k2To53 + 1), Value(k2To53)}).ok());
+  const ZoneMap zones = ZoneMap::Build(t);
+  ASSERT_EQ(zones.num_chunks(), 1u);
+  const ZoneStats& up = zones.stats(0, 0);
+  EXPECT_EQ(up.min.as_int(), k2To53);
+  EXPECT_EQ(up.max.as_int(), k2To53 + 1);
+  const ZoneStats& down = zones.stats(0, 1);
+  EXPECT_EQ(down.min.as_int(), k2To53);
+  EXPECT_EQ(down.max.as_int(), k2To53 + 1);
+}
+
 TEST(ZoneMapTest, ClusteredPredicatePrunesAndSelectsWholesale) {
   Schema schema;
   schema.AddField(Field{"id", DataType::kInt64, true});

@@ -250,19 +250,25 @@ TEST(CoerceValueTest, ConvertsIntoWidenedTypes) {
 }
 
 TEST(SniffTypeTest, DetectsTypes) {
-  EXPECT_EQ(SniffType({"1", "2", "-3"}), DataType::kInt64);
-  EXPECT_EQ(SniffType({"1.5", "2"}), DataType::kDouble);
-  EXPECT_EQ(SniffType({"true", "false"}), DataType::kBool);
-  EXPECT_EQ(SniffType({"x", "1"}), DataType::kString);
-  EXPECT_EQ(SniffType({"", ""}), DataType::kString);
-  EXPECT_EQ(SniffType({"1", "", "2"}), DataType::kInt64);  // empties are NULLs
+  // SniffType reads string_views, the tokenizer's fields.
+  using Fields = std::vector<std::string_view>;
+  EXPECT_EQ(SniffType(Fields{"1", "2", "-3"}), DataType::kInt64);
+  EXPECT_EQ(SniffType(Fields{"1.5", "2"}), DataType::kDouble);
+  EXPECT_EQ(SniffType(Fields{"true", "false"}), DataType::kBool);
+  EXPECT_EQ(SniffType(Fields{"x", "1"}), DataType::kString);
+  EXPECT_EQ(SniffType(Fields{"", ""}), DataType::kString);
+  EXPECT_EQ(SniffType(Fields{"1", "", "2"}), DataType::kInt64);  // NULLs
   // A double must parse as a whole: a numeric prefix is not enough.
-  EXPECT_EQ(SniffType({"3.14"}), DataType::kDouble);
-  EXPECT_EQ(SniffType({"-2.5e3"}), DataType::kDouble);
-  EXPECT_EQ(SniffType({"12abc"}), DataType::kString);
-  EXPECT_EQ(SniffType({"abc"}), DataType::kString);
+  EXPECT_EQ(SniffType(Fields{"3.14"}), DataType::kDouble);
+  EXPECT_EQ(SniffType(Fields{"-2.5e3"}), DataType::kDouble);
+  EXPECT_EQ(SniffType(Fields{"12abc"}), DataType::kString);
+  EXPECT_EQ(SniffType(Fields{"abc"}), DataType::kString);
   // Past int64: decoding could not store it as an int, so it sniffs double.
-  EXPECT_EQ(SniffType({"99999999999999999999", "1"}), DataType::kDouble);
+  EXPECT_EQ(SniffType(Fields{"99999999999999999999", "1"}), DataType::kDouble);
+  // The double parse starts at the first field that is not an int64.
+  EXPECT_EQ(SniffType(Fields{"1", "2", "2.5"}), DataType::kDouble);
+  EXPECT_EQ(SniffType(Fields{"1", "2", "2.5x"}), DataType::kString);
+  EXPECT_EQ(SniffType(Fields{}), DataType::kString);
 }
 
 TEST(TableFromCsvTest, IntegerPastInt64IsADoubleColumn) {
@@ -272,6 +278,55 @@ TEST(TableFromCsvTest, IntegerPastInt64IsADoubleColumn) {
   ASSERT_FALSE(r->at(0, 0).is_null());
   EXPECT_EQ(r->at(0, 0).as_double(), 1e20);
   EXPECT_EQ(r->at(1, 0).as_double(), 1.0);
+}
+
+TEST(TableFromCsvTest, IntegerPastInt64AfterIntsIsADoubleColumn) {
+  // The 20-digit field follows fields that parse as int64: sniffing turns
+  // to doubles there, and every row of the column decodes as a double.
+  auto r = Table::FromCsv("t", "id,n\n1,7\n2,8\n99999999999999999999,9\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->schema().field(0).type, DataType::kDouble);
+  EXPECT_EQ(r->schema().field(1).type, DataType::kInt64);
+  EXPECT_TRUE(r->at(0, 0).is_double());
+  EXPECT_EQ(r->at(0, 0).as_double(), 1.0);
+  EXPECT_EQ(r->at(2, 0).as_double(), 1e20);
+}
+
+TEST(TableFromCsvTest, HeaderOnlyFileIsAnEmptyStringTable) {
+  auto r = Table::FromCsv("t", "a,b\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->num_rows(), 0u);
+  ASSERT_EQ(r->num_columns(), 2u);
+  EXPECT_EQ(r->schema().field(0).type, DataType::kString);
+  EXPECT_EQ(r->schema().field(1).name, "b");
+}
+
+TEST(TableFromCsvTest, UnescapedFieldsDecodeAsTheirContent) {
+  // "a"b is ab; a bare '\r' outside quotes is dropped; a quoted empty
+  // field and an empty one are both NULL; a quoted number is a number.
+  auto r = Table::FromCsv(
+      "t", "s,n\n\"a\"b,\"1\"\r\nx\ry,\"\"\n\"she said \"\"hi\"\"\",\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 3u);
+  EXPECT_EQ(r->schema().field(1).type, DataType::kInt64);
+  EXPECT_EQ(r->at(0, 0), Value("ab"));
+  EXPECT_EQ(r->at(0, 1), Value(int64_t{1}));
+  EXPECT_EQ(r->at(1, 0), Value("xy"));
+  EXPECT_TRUE(r->at(1, 1).is_null());
+  EXPECT_EQ(r->at(2, 0), Value("she said \"hi\""));
+  EXPECT_TRUE(r->at(2, 1).is_null());
+}
+
+TEST(TableFromCsvTest, SchemaDecodeNamesTheFirstBadFieldInRowOrder) {
+  // Column b fails on row 0, column a on row 1: the error is row 0's.
+  const Schema schema({{"a", DataType::kInt64, true},
+                       {"b", DataType::kBool, true}});
+  auto r = Table::FromCsv("t", "a,b\n1,maybe\nx,true\n", schema);
+  ASSERT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(r.status().message(),
+            "CSV field 'maybe' of column 'b' is not bool");
+  auto tie = Table::FromCsv("t", "a,b\nx,maybe\n", schema);
+  EXPECT_EQ(tie.status().message(), "CSV field 'x' of column 'a' is not int64");
 }
 
 TEST(TableFromCsvTest, DecodesAgainstAGivenSchema) {

@@ -8,6 +8,11 @@ benchmark slowed down by more than the threshold. New or vanished
 benchmarks are reported but never fail the comparison — PRs add and
 retire benchmarks all the time.
 
+Both files' host stamps (the JSON "context": num_cpus, build_type,
+compiler, git_sha) are printed first; when num_cpus, build_type or
+compiler differ, a warning goes to stderr, since the ratios then compare
+hosts or builds as well as code. The exit code does not depend on it.
+
 Usage:
   tools/bench/compare_benches.py BASELINE.json CONTENDER.json \
       [--threshold 0.10] [--metric real_time|cpu_time]
@@ -24,17 +29,32 @@ import sys
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def load_samples(path, metric):
+# Host-stamp keys printed for both files; differing in the first three
+# earns a warning.
+_STAMP_KEYS = ("num_cpus", "build_type", "compiler", "git_sha")
+_MUST_MATCH = _STAMP_KEYS[:3]
+
+
+def load_doc(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        sys.exit(f"error: cannot read {path}: {e}")
+
+
+def host_stamp(doc):
+    """Returns {key: value} for _STAMP_KEYS ("unknown" when absent)."""
+    context = doc.get("context", {})
+    return {k: str(context.get(k, "unknown")) for k in _STAMP_KEYS}
+
+
+def load_samples(doc, metric):
     """Returns {benchmark name: time in ns} for per-iteration entries.
 
     Aggregate rows (mean/median/stddev from --benchmark_repetitions) are
     collapsed to the mean; plain rows are used as-is.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"error: cannot read {path}: {e}")
     samples = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate" and b.get("aggregate_name") != "mean":
@@ -72,8 +92,20 @@ def main():
     )
     args = parser.parse_args()
 
-    base = load_samples(args.baseline, args.metric)
-    cont = load_samples(args.contender, args.metric)
+    base_doc = load_doc(args.baseline)
+    cont_doc = load_doc(args.contender)
+    base_stamp = host_stamp(base_doc)
+    cont_stamp = host_stamp(cont_doc)
+    for label, stamp in (("baseline", base_stamp), ("contender", cont_stamp)):
+        print(f"{label:<9}  " + "  ".join(f"{k}={v}" for k, v in stamp.items()))
+    for key in _MUST_MATCH:
+        if base_stamp[key] != cont_stamp[key]:
+            print(f"warning: {key} differs: {base_stamp[key]} (baseline) vs "
+                  f"{cont_stamp[key]} (contender)", file=sys.stderr)
+    print()
+
+    base = load_samples(base_doc, args.metric)
+    cont = load_samples(cont_doc, args.metric)
     if not base:
         sys.exit(f"error: no usable benchmarks in {args.baseline}")
     if not cont:

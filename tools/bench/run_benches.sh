@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Runs every bench binary with machine-readable JSON output so perf
 # trajectories can be diffed across PRs (EXPERIMENTS.md records the
-# narrative; the JSON is the raw data).
+# narrative; the JSON is the raw data). Each JSON's "context" carries the
+# host stamp: Google Benchmark's own num_cpus and mhz_per_cpu, plus the
+# git_sha of this checkout and the build_type and compiler that
+# <build_dir>/CMakeCache.txt records.
 #
 # Usage: tools/bench/run_benches.sh [--only <bench_name>] [build_dir] \
 #            [out_dir] [benchmark filter]
@@ -35,6 +38,27 @@ fi
 
 mkdir -p "$OUT_DIR"
 
+# Host stamp: what produced the numbers, for compare_benches.py to check.
+CACHE="$BUILD_DIR/CMakeCache.txt"
+cache_value() {  # cache_value <key>: that entry's value in $CACHE
+  sed -n "s/^$1:[A-Z]*=//p" "$CACHE" | head -n 1
+}
+GIT_SHA="$(git -C "$(dirname "$0")" rev-parse HEAD 2>/dev/null ||
+           echo unknown)"
+BUILD_TYPE="unknown"
+COMPILER="unknown"
+if [ -f "$CACHE" ]; then
+  BUILD_TYPE="$(cache_value CMAKE_BUILD_TYPE)"
+  BUILD_TYPE="${BUILD_TYPE:-none}"  # no build type: no optimization flags
+  CXX="$(cache_value CMAKE_CXX_COMPILER)"
+  if [ -n "$CXX" ]; then
+    COMPILER="$(basename "$CXX")-$("$CXX" -dumpfullversion 2>/dev/null ||
+                                   "$CXX" -dumpversion 2>/dev/null ||
+                                   echo unknown)"
+  fi
+fi
+CONTEXT="git_sha=$GIT_SHA,build_type=$BUILD_TYPE,compiler=$COMPILER"
+
 if [ -n "$ONLY" ] && [ ! -x "$BUILD_DIR/bench/$ONLY" ]; then
   echo "error: $BUILD_DIR/bench/$ONLY not found or not executable" >&2
   exit 1
@@ -49,6 +73,7 @@ for bin in "$BUILD_DIR"/bench/bench_*; do
   args=(
     "--benchmark_out=$OUT_DIR/BENCH_${name}.json"
     "--benchmark_out_format=json"
+    "--benchmark_context=$CONTEXT"
   )
   if [ -n "$FILTER" ]; then
     args+=("--benchmark_filter=$FILTER")
