@@ -10,7 +10,8 @@
 // 1/4/16 threads against a 1M-row table; the *_Reference twins run the
 // row-at-a-time interpreter the engine replaced. The single-thread Vec vs
 // Reference ratio is the vectorization win; the thread sweep shows morsel
-// scaling (flat on a single-core host).
+// scaling (flat on a single-core host). BM_Query_Sort_Vec sorts the same
+// table by an int64 and by a string column (Sort runs on one thread).
 
 #include <benchmark/benchmark.h>
 
@@ -634,6 +635,19 @@ void BM_Query_Aggregate_Reference(benchmark::State& state) {
                           static_cast<int64_t>(kVecRows));
 }
 
+void BM_Query_Sort_Vec(benchmark::State& state) {
+  // Arg 0 sorts by the int64 `key`, 1 by the string `cat`: the typed-key
+  // sort's two payload shapes (8-byte numbers, short string views).
+  const table::Table& t = VecTable();
+  const std::string column = state.range(0) == 0 ? "key" : "cat";
+  for (auto _ : state) {
+    auto out = Sort(t, column, /*ascending=*/true);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kVecRows));
+}
+
 }  // namespace
 
 // Arg: thread count for the morsel pool.
@@ -658,6 +672,8 @@ BENCHMARK(BM_Query_Aggregate_Vec)->Arg(1)->Arg(4)->Arg(16)
 BENCHMARK(BM_Query_Aggregate_VecBudgeted)->Arg(1)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Query_Aggregate_Reference)->Unit(benchmark::kMillisecond);
+// Arg: 0 = int64 key column, 1 = string key column.
+BENCHMARK(BM_Query_Sort_Vec)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Args: {rows, selectivity-kept-percent}.
 BENCHMARK(BM_Federated_WithPushdown)

@@ -21,10 +21,9 @@ namespace lakekit {
 /// concurrent reservers; `peak_used()` records the high-water mark the
 /// overload chaos suite asserts against.
 ///
-/// Hot paths never touch these atomics per row: they batch through a
-/// stack-local `MemoryCharge` (one per morsel task, so effectively
-/// thread-local), which debits the account in `kBudgetQuantumBytes` chunks
-/// and costs an integer add per call in the common case.
+/// Hot paths never touch these atomics per row: an operator reserves what
+/// a morsel or the whole operator needs in a few calls on a
+/// `ScopedReservation`, which returns it when the scope ends.
 class MemoryBudget {
  public:
   explicit MemoryBudget(size_t capacity_bytes) : capacity_(capacity_bytes) {}
@@ -119,66 +118,37 @@ class BudgetAccount {
   std::atomic<size_t> used_{0};
 };
 
-/// Batch size MemoryCharge debits its account in. Large enough that a
-/// morsel-sized task touches the shared atomics a handful of times, small
-/// enough that the over-reservation slack per in-flight task is noise
-/// against any realistic budget.
-inline constexpr size_t kBudgetQuantumBytes = 64u << 10;
-
-/// Stack-local batching debiter for hot paths. Each parallel task owns one
-/// (so access is single-threaded by construction); `Add` rounds the
-/// account-level reservation up to the next kBudgetQuantumBytes, making the
-/// common call a local integer add with no shared-state traffic. The
-/// destructor returns everything — MemoryCharge tracks *transient* operator
-/// state (hash tables, partials, sort keys); state that outlives the
-/// operator is charged straight on the account, whose own destructor
-/// settles it at query end.
-class MemoryCharge {
+/// Scoped budget holder: reservations accumulate here, and the destructor
+/// returns the lot to the account, so state is accounted only while it is
+/// live. The query operators hold one for state that lives as long as the
+/// operator (hash tables, partials, match lists, sort keys, outputs) and
+/// Aggregate one per morsel for its scratch. A null or detached account
+/// makes every Reserve a free no-op.
+class ScopedReservation {
  public:
-  /// `account` may be nullptr or detached; Add is then free and infallible.
-  explicit MemoryCharge(BudgetAccount* account)
+  explicit ScopedReservation(BudgetAccount* account)
       : account_(account != nullptr && account->attached() ? account
                                                            : nullptr) {}
-
-  MemoryCharge(const MemoryCharge&) = delete;
-  MemoryCharge& operator=(const MemoryCharge&) = delete;
-
-  ~MemoryCharge() { ReleaseAll(); }
-
-  /// Debits `bytes`, reserving another quantum from the account only when
-  /// the local allowance runs out. On refusal the local accounting is
-  /// unchanged and the caller must unwind (return the error up).
-  Status Add(size_t bytes) {
-    if (account_ == nullptr) return Status::OK();
-    used_ += bytes;
-    if (used_ <= reserved_) return Status::OK();
-    // Round the shortfall up to whole quanta so the next Adds stay local.
-    const size_t shortfall = used_ - reserved_;
-    const size_t grab =
-        (shortfall + kBudgetQuantumBytes - 1) / kBudgetQuantumBytes *
-        kBudgetQuantumBytes;
-    if (Status s = account_->TryReserve(grab); !s.ok()) {
-      used_ -= bytes;
-      return s;
+  ScopedReservation(const ScopedReservation&) = delete;
+  ScopedReservation& operator=(const ScopedReservation&) = delete;
+  ~ScopedReservation() {
+    if (account_ != nullptr) {
+      account_->Release(total_.load(std::memory_order_relaxed));
     }
-    reserved_ += grab;
-    return Status::OK();
   }
 
-  /// Bytes debited so far (the exact figure, not the quantum-rounded
-  /// reservation).
-  [[nodiscard]] size_t held() const { return used_; }
-
-  void ReleaseAll() {
-    if (account_ != nullptr && reserved_ > 0) account_->Release(reserved_);
-    reserved_ = 0;
-    used_ = 0;
+  /// Reserves `bytes` on the account, or fails with kResourceExhausted
+  /// holding nothing more. Thread-safe: morsel tasks call it concurrently.
+  Status Reserve(size_t bytes) {
+    if (account_ == nullptr) return Status::OK();
+    LAKEKIT_RETURN_IF_ERROR(account_->TryReserve(bytes));
+    total_.fetch_add(bytes, std::memory_order_relaxed);
+    return Status::OK();
   }
 
  private:
   BudgetAccount* account_;
-  size_t reserved_ = 0;
-  size_t used_ = 0;
+  std::atomic<size_t> total_{0};
 };
 
 }  // namespace lakekit

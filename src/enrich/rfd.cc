@@ -4,22 +4,11 @@
 #include <unordered_map>
 
 #include "ingest/profiler.h"
+#include "table/row_key.h"
 
 namespace lakekit::enrich {
 
 namespace {
-
-/// Composite key of LHS values for one row.
-std::string LhsKey(const table::Table& t, const std::vector<size_t>& lhs_cols,
-                   size_t row) {
-  std::string key;
-  for (size_t c : lhs_cols) {
-    const table::Value& v = t.at(row, c);
-    key += v.is_null() ? "\x01" : v.ToString();
-    key += "\x02";
-  }
-  return key;
-}
 
 RelaxedFd Evaluate(const table::Table& t, const std::vector<size_t>& lhs_cols,
                    size_t rhs_col) {
@@ -27,13 +16,14 @@ RelaxedFd Evaluate(const table::Table& t, const std::vector<size_t>& lhs_cols,
   for (size_t c : lhs_cols) fd.lhs.push_back(t.schema().field(c).name);
   fd.rhs = t.schema().field(rhs_col).name;
 
-  // Group rows by LHS key; find per-group majority RHS value.
+  // Group rows by the rendered LHS key; find per-group majority RHS value.
+  // The RHS tally is ordered by rendering (NULL first), which breaks ties.
   std::unordered_map<std::string, std::map<std::string, std::vector<size_t>>>
-      groups;  // lhs key -> rhs value -> rows
+      groups;  // lhs key -> rhs key -> rows
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    const table::Value& rhs = t.at(r, rhs_col);
-    groups[LhsKey(t, lhs_cols, r)][rhs.is_null() ? "\x01" : rhs.ToString()]
-        .push_back(r);
+    std::string rhs_key;
+    table::AppendRenderedKey(t.at(r, rhs_col), &rhs_key);
+    groups[table::RenderedRowKey(t, lhs_cols, r)][rhs_key].push_back(r);
   }
   size_t consistent = 0;
   for (const auto& [key, rhs_counts] : groups) {

@@ -2,6 +2,8 @@
 
 #include <unordered_set>
 
+#include "table/row_key.h"
+
 namespace lakekit::evolution {
 
 std::string InclusionDependency::ToString() const {
@@ -19,33 +21,17 @@ std::string InclusionDependency::ToString() const {
   return out;
 }
 
-namespace {
-
-std::string TupleKey(const table::Table& t, const std::vector<size_t>& cols,
-                     size_t row) {
-  std::string key;
-  for (size_t c : cols) {
-    const table::Value& v = t.at(row, c);
-    key += v.is_null() ? "\x01" : v.ToString();
-    key += "\x02";
-  }
-  return key;
-}
-
-}  // namespace
-
 bool HoldsInclusion(const table::Table& dependent,
                     const std::vector<size_t>& dep_cols,
                     const table::Table& referenced,
                     const std::vector<size_t>& ref_cols) {
   std::unordered_set<std::string> referenced_tuples;
   for (size_t r = 0; r < referenced.num_rows(); ++r) {
-    referenced_tuples.insert(TupleKey(referenced, ref_cols, r));
+    referenced_tuples.insert(table::RenderedRowKey(referenced, ref_cols, r));
   }
   for (size_t r = 0; r < dependent.num_rows(); ++r) {
-    if (referenced_tuples.count(TupleKey(dependent, dep_cols, r)) == 0) {
-      return false;
-    }
+    const std::string key = table::RenderedRowKey(dependent, dep_cols, r);
+    if (referenced_tuples.count(key) == 0) return false;
   }
   return dependent.num_rows() > 0;
 }

@@ -4,6 +4,8 @@
 #include <string>
 #include <unordered_set>
 
+#include "table/row_key.h"
+
 namespace lakekit::integrate {
 
 namespace {
@@ -49,10 +51,7 @@ bool Subsumes(const Tuple& b, const Tuple& a) {
 
 std::string TupleKey(const Tuple& t) {
   std::string key;
-  for (const table::Value& v : t) {
-    key += v.is_null() ? "\x01" : v.ToString();
-    key += "\x02";
-  }
+  for (const table::Value& v : t) table::AppendRenderedKey(v, &key);
   return key;
 }
 

@@ -1,8 +1,10 @@
 #include "lakehouse/delta_table.h"
 
+#include <algorithm>
+
 #include "common/hash.h"
 #include "common/string_util.h"
-#include "query/operators.h"
+#include "query/vec.h"
 
 namespace lakekit::lakehouse {
 
@@ -103,28 +105,39 @@ Status DeltaTable::Overwrite(const table::Table& rows) {
 Status DeltaTable::DeleteWhere(const query::Expr& predicate) {
   LAKEKIT_ASSIGN_OR_RETURN(int64_t read_version, log_.LatestVersion());
   LAKEKIT_ASSIGN_OR_RETURN(Snapshot snapshot, log_.GetSnapshot(read_version));
+  // Every part decodes to schema_, so the predicate compiles once.
+  LAKEKIT_ASSIGN_OR_RETURN(query::CompiledExpr compiled,
+                           query::CompiledExpr::Compile(predicate, schema_));
   Commit commit;
   commit.operation = "DELETE";
   for (const AddFile& f : snapshot.files) {
     LAKEKIT_ASSIGN_OR_RETURN(std::string csv, store_->Get(f.path));
     LAKEKIT_ASSIGN_OR_RETURN(table::Table part,
                              table::Table::FromCsv(name_, csv, schema_));
-    // Keep rows NOT matching the predicate.
-    LAKEKIT_ASSIGN_OR_RETURN(table::Table matching,
-                             query::Filter(part, predicate));
-    if (matching.num_rows() == 0) continue;  // file untouched
+    const size_t rows = part.num_rows();
+    query::SelVector matching;
+    for (size_t begin = 0; begin < rows; begin += query::kMorselSize) {
+      LAKEKIT_RETURN_IF_ERROR(compiled.EvalSelection(
+          part, begin, std::min(rows, begin + query::kMorselSize),
+          &matching));
+    }
+    if (matching.empty()) continue;  // file untouched
     commit.removes.push_back(RemoveFile{f.path});
     // Rewrite: rows where the predicate is false or NULL survive.
-    table::Table survivors(name_, part.schema());
-    for (size_t r = 0; r < part.num_rows(); ++r) {
-      std::vector<table::Value> row = part.Row(r);
-      LAKEKIT_ASSIGN_OR_RETURN(
-          bool matches, query::EvalPredicate(predicate, part.schema(), row));
-      if (!matches) {
-        LAKEKIT_RETURN_IF_ERROR(survivors.AppendRow(std::move(row)));
+    std::vector<uint32_t> kept;
+    kept.reserve(rows - matching.size());
+    size_t next_match = 0;
+    for (uint32_t r = 0; r < rows; ++r) {
+      if (next_match < matching.size() && matching[next_match] == r) {
+        ++next_match;
+      } else {
+        kept.push_back(r);
       }
     }
-    if (survivors.num_rows() > 0) {
+    if (!kept.empty()) {
+      table::Table survivors(name_, part.schema());
+      LAKEKIT_RETURN_IF_ERROR(
+          survivors.AppendRowsFrom(part, kept.data(), kept.size()));
       LAKEKIT_ASSIGN_OR_RETURN(AddFile add, WritePart(survivors));
       commit.adds.push_back(std::move(add));
     }

@@ -4,6 +4,8 @@
 #include <map>
 #include <unordered_map>
 
+#include "table/row_key.h"
+
 namespace lakekit::quality {
 
 bool ApplyOp(Op op, const table::Value& a, const table::Value& b) {
@@ -68,16 +70,20 @@ std::vector<std::pair<size_t, size_t>> ConstraintChecker::FindViolatingPairs(
     return true;
   };
   if (!eq_cols.empty()) {
-    std::unordered_map<std::string, std::vector<size_t>> groups;
+    // Grouped by Value's rule, the one check_pair applies, so rows it
+    // pairs always share a group (0.0 with -0.0, 1 never with "1").
+    // Groups are visited in first-seen order.
+    std::unordered_map<table::GroupKey, size_t, table::GroupKeyHash> index;
+    std::vector<std::vector<size_t>> groups;
     for (size_t r = 0; r < t.num_rows(); ++r) {
-      std::string key;
-      for (size_t c : eq_cols) {
-        key += t.at(r, c).ToString();
-        key += "\x02";
-      }
-      groups[key].push_back(r);
+      table::GroupKey key;
+      for (size_t c : eq_cols) key.Add(t.at(r, c));
+      const auto [it, inserted] =
+          index.try_emplace(std::move(key), groups.size());
+      if (inserted) groups.emplace_back();
+      groups[it->second].push_back(r);
     }
-    for (const auto& [key, rows] : groups) {
+    for (const std::vector<size_t>& rows : groups) {
       for (size_t a = 0; a < rows.size() && out.size() < max_pairs; ++a) {
         for (size_t b = a + 1; b < rows.size() && out.size() < max_pairs;
              ++b) {

@@ -1,16 +1,15 @@
 #include "query/operators.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 
-#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "query/vec.h"
 #include "query/zone_map.h"
+#include "table/row_key.h"
 
 namespace lakekit::query {
 
@@ -38,39 +37,6 @@ Status CheckInterrupt(const ExecOptions& opts) {
 }
 
 namespace {
-
-/// Operator-scope budget holder (DESIGN.md §10): concurrent morsel tasks
-/// reserve straight on the account (two CAS pairs per morsel — the per-row
-/// batching lives in MemoryCharge when a single task charges repeatedly),
-/// the running total accumulates here, and the destructor returns the lot
-/// when the operator finishes — transient state (hash tables, partials,
-/// match lists, sort keys) is only accounted while it is actually live.
-/// Detached/null accounts make every Reserve a no-op.
-class ScopedReservation {
- public:
-  explicit ScopedReservation(BudgetAccount* account)
-      : account_(account != nullptr && account->attached() ? account
-                                                           : nullptr) {}
-  ScopedReservation(const ScopedReservation&) = delete;
-  ScopedReservation& operator=(const ScopedReservation&) = delete;
-  ~ScopedReservation() {
-    if (account_ != nullptr) {
-      account_->Release(total_.load(std::memory_order_relaxed));
-    }
-  }
-
-  /// Thread-safe: morsel tasks call this concurrently.
-  Status Reserve(size_t bytes) {
-    if (account_ == nullptr) return Status::OK();
-    LAKEKIT_RETURN_IF_ERROR(account_->TryReserve(bytes));
-    total_.fetch_add(bytes, std::memory_order_relaxed);
-    return Status::OK();
-  }
-
- private:
-  BudgetAccount* account_;
-  std::atomic<size_t> total_{0};
-};
 
 ParallelOptions PoolOptions(const ExecOptions& opts) {
   ParallelOptions po;
@@ -333,18 +299,6 @@ struct AggState {
   Value min;
   Value max;
 
-  void Add(const Value& v) {
-    if (v.is_null()) return;
-    ++count;
-    if (v.is_int()) {
-      isum += v.as_int();
-    } else if (v.is_double()) {
-      dsum += v.as_double();
-    }
-    if (min.is_null() || v < min) min = v;
-    if (max.is_null() || max < v) max = v;
-  }
-
   /// Folds `other` (a later morsel's partial) into this state. Ties in
   /// min/max keep the earlier value, matching row-order first-seen.
   void Merge(const AggState& other) {
@@ -381,31 +335,6 @@ struct AggState {
   }
 };
 
-/// Group key: the key values plus their combined hash, compared with real
-/// elementwise Value equality (not a string encoding — see reference_ops.h).
-struct GroupKey {
-  std::vector<Value> values;
-  uint64_t hash = 0;
-};
-
-constexpr uint64_t kGroupHashSeed = 0xa99ec0de5eedULL;
-
-struct GroupKeyHash {
-  size_t operator()(const GroupKey& k) const {
-    return static_cast<size_t>(k.hash);
-  }
-};
-
-struct GroupKeyEq {
-  bool operator()(const GroupKey& a, const GroupKey& b) const {
-    if (a.hash != b.hash || a.values.size() != b.values.size()) return false;
-    for (size_t i = 0; i < a.values.size(); ++i) {
-      if (!(a.values[i] == b.values[i])) return false;
-    }
-    return true;
-  }
-};
-
 DataType AggOutputType(AggFn fn, bool has_input, DataType input_type) {
   switch (fn) {
     case AggFn::kCount:
@@ -428,63 +357,21 @@ DataType AggOutputType(AggFn fn, bool has_input, DataType input_type) {
 /// at `states[g * naggs + i]` — so the merge touches one flat allocation
 /// instead of a vector-of-vectors.
 struct AggPartial {
-  std::vector<GroupKey> keys;
+  std::vector<table::GroupKey> keys;
   std::vector<AggState> states;
 };
 
-/// Lane-local cell equality, resolved to a function pointer once per
-/// (key lane, morsel) so the probe loop's candidate check is one indirect
-/// call — no CellRef construction or type dispatch per row. Semantics match
-/// CellEq: NULL equals only NULL, numerics compare by double, NaN != NaN.
+/// Whether rows `a` and `b` of key lane `v` hold equal keys under `Rule`
+/// (NULL equals only NULL). Resolved to a function pointer once per (key
+/// lane, morsel), so the probe loop's candidate check is one indirect
+/// call with no type dispatch per row.
+template <typename Rule>
+bool LaneEq(const Vec& v, size_t a, size_t b) {
+  if ((v.nulls[a] | v.nulls[b]) != 0) return v.nulls[a] == v.nulls[b];
+  const auto& lane = v.*Rule::kLane;
+  return Rule::Eq(lane[a], lane[b]);
+}
 using LaneEqFn = bool (*)(const Vec&, size_t, size_t);
-
-// An all-NULL lane has no payload to compare: every pair of cells is equal.
-bool LaneEqNull(const Vec& /*v*/, size_t /*a*/, size_t /*b*/) { return true; }
-bool LaneEqBool(const Vec& v, size_t a, size_t b) {
-  if ((v.nulls[a] | v.nulls[b]) != 0) return v.nulls[a] == v.nulls[b];
-  return v.b8[a] == v.b8[b];
-}
-bool LaneEqI64(const Vec& v, size_t a, size_t b) {
-  if ((v.nulls[a] | v.nulls[b]) != 0) return v.nulls[a] == v.nulls[b];
-  // By double — the numeric equality Value uses (2^53 and 2^53 + 1 are
-  // equal keys).
-  return static_cast<double>(v.i64[a]) == static_cast<double>(v.i64[b]);
-}
-bool LaneEqF64(const Vec& v, size_t a, size_t b) {
-  if ((v.nulls[a] | v.nulls[b]) != 0) return v.nulls[a] == v.nulls[b];
-  return v.f64[a] == v.f64[b];  // NaN != NaN, like Value.
-}
-bool LaneEqStr(const Vec& v, size_t a, size_t b) {
-  if ((v.nulls[a] | v.nulls[b]) != 0) return v.nulls[a] == v.nulls[b];
-  const std::string_view x = v.str[a];
-  const std::string_view y = v.str[b];
-  if (x.size() != y.size()) return false;
-  // Byte loop for short strings: string_view's operator== lowers to a libc
-  // memcmp call, which dominates a 4-byte comparison done once per row.
-  if (x.size() <= 16) {
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (x[i] != y[i]) return false;
-    }
-    return true;
-  }
-  return x == y;
-}
-
-LaneEqFn LaneEqFor(const Vec& v) {
-  switch (v.type) {
-    case DataType::kBool:
-      return LaneEqBool;
-    case DataType::kInt64:
-      return LaneEqI64;
-    case DataType::kDouble:
-      return LaneEqF64;
-    case DataType::kString:
-      return LaneEqStr;
-    case DataType::kNull:
-      break;
-  }
-  return LaneEqNull;
-}
 
 /// Morsel-local group index: a growable open-addressed table mapping a
 /// morsel-local key hash (plus an equality check against the group's
@@ -560,126 +447,95 @@ class GroupIndex {
   std::vector<uint32_t> counts_;     // group -> rows seen
 };
 
-/// Key policies for the fused single-key probe: how to read, hash, and
-/// compare one typed key column's payload. Hash and equality mirror
-/// lanehash / LaneEq semantics (numerics through double, NaN != NaN, short
-/// strings compared byte-wise to avoid a libc memcmp call per row).
-struct I64Key {
-  static const int64_t* Get(const Value& v) { return v.get_int(); }
-  static uint64_t Hash(int64_t v) {
-    return lanehash::Numeric(static_cast<double>(v));
-  }
-  static bool Eq(int64_t a, int64_t b) {
-    return static_cast<double>(a) == static_cast<double>(b);
-  }
-};
-struct F64Key {
-  static const double* Get(const Value& v) { return v.get_double(); }
-  static uint64_t Hash(double v) { return lanehash::Numeric(v); }
-  static bool Eq(double a, double b) { return a == b; }  // NaN != NaN
-};
-struct StrKey {
-  static const std::string* Get(const Value& v) { return v.get_string(); }
-  static uint64_t Hash(const std::string& s) { return lanehash::Prefix(s); }
-  static bool Eq(const std::string& a, const std::string& b) {
-    if (a.size() != b.size()) return false;
-    if (a.size() <= 16) {
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i] != b[i]) return false;
-      }
-      return true;
-    }
-    return a == b;
-  }
-};
-
 /// Fused single-key group assignment: hashes and probes straight off the
-/// key column's Values — no lane build, no row-hash array.
-template <typename Key>
+/// key column's Values under `Rule` — no lane build, no row-hash array.
+template <typename Rule>
 void ProbeTypedKey(const std::vector<Value>& cells, size_t mbegin, size_t n,
                    GroupIndex* idx, uint32_t* group_of) {
   for (size_t k = 0; k < n; ++k) {
-    const auto* pv = Key::Get(cells[mbegin + k]);  // nullptr: a NULL key
-    const uint64_t h = pv != nullptr ? Key::Hash(*pv) : lanehash::kNull;
+    const auto* pv = Rule::Get(cells[mbegin + k]);  // nullptr: a NULL key
+    const uint64_t h = pv != nullptr ? Rule::Hash(*pv) : kNullCellHash;
     group_of[k] =
         idx->Insert(h, static_cast<uint32_t>(k), [&](uint32_t k0) {
-          const auto* p0 = Key::Get(cells[mbegin + k0]);
+          const auto* p0 = Rule::Get(cells[mbegin + k0]);
           if (p0 == nullptr || pv == nullptr) {
             return p0 == nullptr && pv == nullptr;  // NULL equals only NULL
           }
-          return Key::Eq(*p0, *pv);
+          return Rule::Eq(*p0, *pv);
         });
   }
 }
 
-/// Morsel-local per-group partials of one numeric column (T is its int64_t
-/// or double payload): what its aggregates need, indexed by group.
+/// Morsel-local per-group partials of one aggregate input column (T is
+/// its payload type): what its aggregates need, indexed by group.
 template <typename T>
 struct SweepPartial {
   std::vector<size_t> cnt;
-  std::vector<T> sum;         // when a SUM or AVG reads the column
+  std::vector<T> sum;         // when a SUM or AVG reads an int64 or double
   std::vector<uint8_t> has;   // extrema, when a MIN or MAX reads it
   std::vector<T> mn;
   std::vector<T> mx;
 };
 
-/// Fused typed sweep: one traversal of a numeric column's cells computes
-/// the union of what its aggregates need into `out`, reading Values in
-/// place — no lane materialization pass. Instantiated per need-combination
+/// SUM and AVG add int64 and double payloads; over a bool or string column
+/// they only count.
+template <typename T>
+constexpr bool kSummable =
+    std::is_same_v<T, int64_t> || std::is_same_v<T, double>;
+
+/// Fused typed sweep: one traversal of a column's cells computes the union
+/// of what its aggregates need into `out`, reading Values in place under
+/// `Rule` — no lane materialization pass. Instantiated per need-combination
 /// so the inner loop carries no dead work or runtime flags.
-template <typename T, bool kWantSum, bool kWantMinMax>
+template <typename Rule, bool kWantSum, bool kWantMinMax>
 void Sweep(const std::vector<Value>& cells, size_t mbegin,
-           const uint32_t* group_of, size_t n, SweepPartial<T>* out) {
+           const uint32_t* group_of, size_t n,
+           SweepPartial<typename Rule::Payload>* out) {
   for (size_t k = 0; k < n; ++k) {
-    const Value& c = cells[mbegin + k];
-    const T* pv = nullptr;
-    if constexpr (std::is_same_v<T, int64_t>) {
-      pv = c.get_int();
-    } else {
-      pv = c.get_double();
-    }
+    const auto* pv = Rule::Get(cells[mbegin + k]);
     if (pv == nullptr) continue;  // a NULL cell
     const uint32_t g = group_of[k];
-    const T v = *pv;
+    const typename Rule::Payload v = *pv;
     ++out->cnt[g];
-    if constexpr (kWantSum) out->sum[g] += v;
+    if constexpr (kWantSum && kSummable<typename Rule::Payload>) {
+      out->sum[g] += v;
+    }
     if constexpr (kWantMinMax) {
-      // Ordering is by double — the numeric order Value uses — while the
-      // tracked extrema keep their type (exact int64s). `v < mn` is false
-      // for NaN, so a NaN that arrives first sticks — exactly Value's
-      // behavior.
+      // The extrema keep their type (exact int64s) while the rule orders
+      // them. Less is false for NaN, so a NaN that arrives first sticks,
+      // as under Value's order.
       if (out->has[g] == 0) {
         out->has[g] = 1;
         out->mn[g] = out->mx[g] = v;
       } else {
-        const double d = static_cast<double>(v);
-        if (d < static_cast<double>(out->mn[g])) out->mn[g] = v;
-        if (static_cast<double>(out->mx[g]) < d) out->mx[g] = v;
+        if (Rule::Less(v, out->mn[g])) out->mn[g] = v;
+        if (Rule::Less(out->mx[g], v)) out->mx[g] = v;
       }
     }
   }
 }
 
-template <typename T>
-SweepPartial<T> SweepColumn(const std::vector<Value>& cells, size_t mbegin,
-                            const uint32_t* group_of, size_t n,
-                            size_t ngroups, bool want_sum, bool want_minmax) {
+template <typename Rule>
+SweepPartial<typename Rule::Payload> SweepColumn(
+    const std::vector<Value>& cells, size_t mbegin, const uint32_t* group_of,
+    size_t n, size_t ngroups, bool want_sum, bool want_minmax) {
+  using T = typename Rule::Payload;
   SweepPartial<T> p;
   p.cnt.assign(ngroups, 0);
-  if (want_sum) p.sum.assign(ngroups, T{0});
+  if (want_sum && kSummable<T>) p.sum.assign(ngroups, T{});
   if (want_minmax) {
     p.has.assign(ngroups, 0);
     p.mn.resize(ngroups);
     p.mx.resize(ngroups);
   }
   if (want_sum && want_minmax) {
-    Sweep<T, true, true>(cells, mbegin, group_of, n, &p);
+    Sweep<Rule, true, true>(cells, mbegin, group_of, n, &p);
   } else if (want_sum) {
-    Sweep<T, true, false>(cells, mbegin, group_of, n, &p);
+    Sweep<Rule, true, false>(cells, mbegin, group_of, n, &p);
   } else if (want_minmax) {
-    Sweep<T, false, true>(cells, mbegin, group_of, n, &p);
+    Sweep<Rule, false, true>(cells, mbegin, group_of, n, &p);
   } else {
-    Sweep<T, false, false>(cells, mbegin, group_of, n, &p);
+    Sweep<Rule, false, false>(cells, mbegin, group_of, n, &p);
   }
   return p;
 }
@@ -704,7 +560,7 @@ void FoldSweep(const SweepPartial<T>& p, AggFn fn, size_t i, size_t naggs,
     if (fn == AggFn::kCount) continue;
     if constexpr (std::is_same_v<T, int64_t>) {
       st.isum += p.sum[g];  // exact integer accumulation
-    } else {
+    } else if constexpr (std::is_same_v<T, double>) {
       st.dsum += p.sum[g];
     }
   }
@@ -753,45 +609,39 @@ Result<Table> Aggregate(const Table& input,
             const size_t mbegin = MorselBegin(m);
             const size_t mend = MorselEnd(m, rows);
             const size_t n = mend - mbegin;
-            // Morsel-transient state (group assignment, probe table, sweep
-            // arrays) batches through a stack-local charge and is credited
-            // back when the morsel finishes; the partial itself — which the
-            // merge still needs — lands on the operator-scope reservation
-            // just before return.
-            MemoryCharge scratch(opts.budget);
-            LAKEKIT_RETURN_IF_ERROR(scratch.Add(n * sizeof(uint32_t)));
+            // Morsel-transient state (group assignment, probe table) is
+            // held on a morsel-scope reservation and returned when the
+            // morsel finishes; the partial itself — which the merge still
+            // needs — lands on the operator-scope reservation just before
+            // return.
+            ScopedReservation scratch(opts.budget);
+            LAKEKIT_RETURN_IF_ERROR(scratch.Reserve(n * sizeof(uint32_t)));
 
             // Pass 1: group assignment through a growable morsel-local
-            // probe table (GroupIndex). A single int64, double or string
-            // key column takes the fused fast path, hashing and probing
-            // straight off the column's Values. Any other key loads the key
-            // columns into lanes, hashes them lane-at-a-time (see HashLane
-            // — equal cells hash equal, which is all the probe table
-            // needs), and compares candidates against the group's
-            // first-seen row with per-lane equality function pointers, so
-            // neither path touches a variant dispatch in the row loop. Key
-            // Values materialize once per group after the loop — straight
-            // from the input cells — along with the Value::Hash-based
-            // GroupKey hash the cross-morsel merge keys on.
+            // probe table (GroupIndex), under the cell rule. A single key
+            // column takes the fused fast path, hashing and probing
+            // straight off the column's Values. Several key columns load
+            // into lanes, hash lane-at-a-time (see HashLane — equal cells
+            // hash equal, which is all the probe table needs), and compare
+            // candidates against the group's first-seen row with per-lane
+            // equality function pointers, so neither path touches a variant
+            // dispatch in the row loop. Key Values materialize once per
+            // group after the loop — straight from the input cells — with
+            // the Value::Hash-based GroupKey hash the cross-morsel merge
+            // keys on.
             GroupIndex idx;
             std::vector<uint32_t> group_of(n);
-            const bool one_key = group_idx.size() == 1;
-            const DataType key_type =
-                one_key ? input.schema().field(group_idx[0]).type
-                        : DataType::kNull;
             if (group_idx.empty()) {
               // Global aggregate: one group, no probing.
               std::fill(group_of.begin(), group_of.end(), 0u);
               idx.SetSingleGroup(static_cast<uint32_t>(n));
-            } else if (one_key && key_type == DataType::kInt64) {
-              ProbeTypedKey<I64Key>(input.column(group_idx[0]), mbegin, n,
-                                    &idx, group_of.data());
-            } else if (one_key && key_type == DataType::kDouble) {
-              ProbeTypedKey<F64Key>(input.column(group_idx[0]), mbegin, n,
-                                    &idx, group_of.data());
-            } else if (one_key && key_type == DataType::kString) {
-              ProbeTypedKey<StrKey>(input.column(group_idx[0]), mbegin, n,
-                                    &idx, group_of.data());
+            } else if (group_idx.size() == 1) {
+              VisitCellRule(input.schema().field(group_idx[0]).type,
+                            [&](auto rule) {
+                              ProbeTypedKey<decltype(rule)>(
+                                  input.column(group_idx[0]), mbegin, n, &idx,
+                                  group_of.data());
+                            });
             } else {
               std::vector<Vec> key_lanes;
               key_lanes.reserve(group_idx.size());
@@ -799,12 +649,15 @@ Result<Table> Aggregate(const Table& input,
                 key_lanes.push_back(LoadColumn(
                     input, g, input.schema().field(g).type, mbegin, mend));
               }
-              std::vector<uint64_t> rowhash(n, kGroupHashSeed);
+              std::vector<uint64_t> rowhash(n, 0);
               std::vector<LaneEqFn> lane_eq;
               lane_eq.reserve(key_lanes.size());
               for (const Vec& lane : key_lanes) {
                 HashLane(lane, n, rowhash.data());
-                lane_eq.push_back(LaneEqFor(lane));
+                lane_eq.push_back(
+                    VisitCellRule(lane.type, [](auto rule) -> LaneEqFn {
+                      return &LaneEq<decltype(rule)>;
+                    }));
               }
               for (size_t k = 0; k < n; ++k) {
                 group_of[k] = idx.Insert(
@@ -821,19 +674,16 @@ Result<Table> Aggregate(const Table& input,
             // slots stay within 4x the group count (load factor >= 1/4 right
             // after a grow) at 16 bytes each, plus the three per-group
             // arrays behind them.
-            LAKEKIT_RETURN_IF_ERROR(scratch.Add(
+            LAKEKIT_RETURN_IF_ERROR(scratch.Reserve(
                 std::max<size_t>(64, 4 * first_row.size()) * 16 +
                 first_row.size() *
                     (sizeof(uint32_t) * 2 + sizeof(uint64_t))));
             p.keys.reserve(first_row.size());
             for (const uint32_t k0 : first_row) {
-              GroupKey key;
-              key.hash = kGroupHashSeed;
+              table::GroupKey key;
               key.values.reserve(group_idx.size());
               for (const size_t gc : group_idx) {
-                const Value& v = input.column(gc)[mbegin + k0];
-                key.hash = HashCombine(key.hash, v.Hash());
-                key.values.push_back(v);
+                key.Add(input.column(gc)[mbegin + k0]);
               }
               p.keys.push_back(std::move(key));
             }
@@ -884,43 +734,22 @@ Result<Table> Aggregate(const Table& input,
               plan->agg_ids.push_back(i);
             }
             for (const ColPlan& plan : plans) {
-              const std::vector<Value>& cells = input.column(plan.col);
-              switch (input.schema().field(plan.col).type) {
-                case DataType::kInt64: {
-                  const SweepPartial<int64_t> sp = SweepColumn<int64_t>(
-                      cells, mbegin, group_of.data(), n, ngroups,
-                      plan.want_sum, plan.want_minmax);
-                  for (const size_t i : plan.agg_ids) {
-                    FoldSweep(sp, aggs[i].fn, i, naggs, &p.states);
-                  }
-                  break;
-                }
-                case DataType::kDouble: {
-                  const SweepPartial<double> sp = SweepColumn<double>(
-                      cells, mbegin, group_of.data(), n, ngroups,
-                      plan.want_sum, plan.want_minmax);
-                  for (const size_t i : plan.agg_ids) {
-                    FoldSweep(sp, aggs[i].fn, i, naggs, &p.states);
-                  }
-                  break;
-                }
-                default:
-                  // Bool, string and all-NULL columns: per-cell Value path.
-                  for (const size_t i : plan.agg_ids) {
-                    for (size_t k = 0; k < n; ++k) {
-                      p.states[group_of[k] * naggs + i].Add(
-                          cells[mbegin + k]);
+              VisitCellRule(
+                  input.schema().field(plan.col).type, [&](auto rule) {
+                    const auto sp = SweepColumn<decltype(rule)>(
+                        input.column(plan.col), mbegin, group_of.data(), n,
+                        ngroups, plan.want_sum, plan.want_minmax);
+                    for (const size_t i : plan.agg_ids) {
+                      FoldSweep(sp, aggs[i].fn, i, naggs, &p.states);
                     }
-                  }
-                  break;
-              }
+                  });
             }
             // The partial survives until the ordered merge consumes it:
             // charge it on the operator-scope reservation (scratch unwinds
-            // here, returning the transient quanta).
+            // here, returning the morsel's transient bytes).
             LAKEKIT_RETURN_IF_ERROR(reservation.Reserve(
                 p.states.size() * sizeof(AggState) +
-                p.keys.size() * (sizeof(GroupKey) +
+                p.keys.size() * (sizeof(table::GroupKey) +
                                  group_idx.size() * sizeof(Value))));
             return p;
           },
@@ -934,10 +763,11 @@ Result<Table> Aggregate(const Table& input,
   size_t groups_upper = 0;
   for (const AggPartial& p : partials) groups_upper += p.keys.size();
   LAKEKIT_RETURN_IF_ERROR(reservation.Reserve(
-      groups_upper * (sizeof(GroupKey) + group_idx.size() * sizeof(Value) +
-                      naggs * sizeof(AggState) + 4 * sizeof(void*))));
-  std::unordered_map<GroupKey, size_t, GroupKeyHash, GroupKeyEq> index;
-  std::vector<GroupKey> keys;
+      groups_upper *
+      (sizeof(table::GroupKey) + group_idx.size() * sizeof(Value) +
+       naggs * sizeof(AggState) + 4 * sizeof(void*))));
+  std::unordered_map<table::GroupKey, size_t, table::GroupKeyHash> index;
+  std::vector<table::GroupKey> keys;
   std::vector<AggState> states;  // group-major, like AggPartial::states
   for (const AggPartial& p : partials) {
     for (size_t g = 0; g < p.keys.size(); ++g) {
@@ -995,21 +825,38 @@ Result<Table> Sort(const Table& input, const std::string& column,
   LAKEKIT_ASSIGN_OR_RETURN(size_t idx, input.ColumnIndex(column));
   const std::vector<Value>& cells = input.column(idx);
   const size_t rows = input.num_rows();
-  // The decoded key buffer and permutation vector are sized exactly by the
-  // row count: reserve before either is allocated.
   ScopedReservation reservation(opts.budget);
-  LAKEKIT_RETURN_IF_ERROR(
-      reservation.Reserve(rows * (sizeof(CellRef) + sizeof(uint32_t))));
-  // Decode every key once; comparisons are then tag checks + payload
-  // compares, never variant dispatch.
-  std::vector<CellRef> keys;
-  keys.reserve(rows);
-  for (const Value& v : cells) keys.push_back(DecodeCell(v));
-  std::vector<uint32_t> order(rows);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return ascending ? CellLess(keys[a], keys[b]) : CellLess(keys[b], keys[a]);
-  });
+  std::vector<uint32_t> order;
+  LAKEKIT_RETURN_IF_ERROR(VisitCellRule(
+      input.schema().field(idx).type, [&](auto rule) -> Status {
+        using Key = typename decltype(rule)::Payload;
+        // The typed keys, their NULL flags and the permutation are sized
+        // exactly by the row count: reserve before any is allocated.
+        LAKEKIT_RETURN_IF_ERROR(reservation.Reserve(
+            rows * (sizeof(Key) + sizeof(uint8_t) + sizeof(uint32_t))));
+        // Decode every key once; comparisons then read typed arrays.
+        std::vector<Key> keys(rows);
+        std::vector<uint8_t> null(rows, 0);
+        for (size_t r = 0; r < rows; ++r) {
+          if (const auto* pv = rule.Get(cells[r])) {
+            keys[r] = *pv;
+          } else {
+            null[r] = 1;
+          }
+        }
+        // NULL sorts before every payload and ties with NULL.
+        auto less = [&](uint32_t a, uint32_t b) {
+          if ((null[a] | null[b]) != 0) return null[a] > null[b];
+          return rule.Less(keys[a], keys[b]);
+        };
+        order.resize(rows);
+        std::iota(order.begin(), order.end(), 0);
+        std::stable_sort(order.begin(), order.end(),
+                         [&](uint32_t a, uint32_t b) {
+                           return ascending ? less(a, b) : less(b, a);
+                         });
+        return Status::OK();
+      }));
   LAKEKIT_RETURN_IF_ERROR(
       reservation.Reserve(rows * input.num_columns() * sizeof(Value)));
   Table out(input.name(), input.schema());

@@ -40,10 +40,10 @@ struct ExecOptions {
   Deadline deadline{};
   /// Memory accounting for the big intermediate-state consumers — the
   /// HashJoin build side and match lists, Aggregate's group index and
-  /// partials, Sort's key buffers, and materialized outputs. Each morsel
-  /// task batches its debits through a stack-local MemoryCharge, so the
-  /// per-row cost is an integer add; when a reservation is refused the
-  /// operator unwinds with kResourceExhausted instead of allocating.
+  /// partials, Sort's key buffers, and materialized outputs. Operators
+  /// reserve on a ScopedReservation a few times per morsel or operator,
+  /// never per row; when a reservation is refused the operator unwinds
+  /// with kResourceExhausted instead of allocating.
   /// nullptr (or a detached account): unaccounted, the pre-budget behavior.
   BudgetAccount* budget = nullptr;
 };

@@ -23,23 +23,6 @@ bool VecIsNull(const Vec& v, size_t k) {
   return v.nulls[Lane(v, k)] != 0;
 }
 
-/// Rank for the cross-type total order (Value::operator<): NULL < bool <
-/// numeric < string.
-int CellRank(DataType t) {
-  switch (t) {
-    case DataType::kNull:
-      return 0;
-    case DataType::kBool:
-      return 1;
-    case DataType::kInt64:
-    case DataType::kDouble:
-      return 2;
-    case DataType::kString:
-      return 3;
-  }
-  return 4;
-}
-
 /// Whether `op` holds given equality/less-than results computed with the
 /// exact IEEE semantics Value uses (kLe is !(b < a), so NaN compares "<=").
 bool ApplyCmp(CmpOp op, bool eq, bool lt, bool gt) {
@@ -74,180 +57,62 @@ Vec MakeBoolVec(size_t rows, bool scalar) {
 /// falsy; any other non-NULL value is "other" (neither).
 enum class Truth : uint8_t { kFalse, kTrue, kNull, kOther };
 
-Truth TruthOf(const Vec& v, size_t k);
-
-}  // namespace
-
-CellRef DecodeCell(const Value& v) {
-  CellRef c;
-  c.type = v.type();
-  switch (c.type) {
-    case DataType::kNull:
-      break;
-    case DataType::kBool:
-      c.b = v.as_bool();
-      break;
-    case DataType::kInt64:
-      c.i = v.as_int();
-      c.d = static_cast<double>(c.i);
-      break;
-    case DataType::kDouble:
-      c.d = v.as_double();
-      break;
-    case DataType::kString:
-      c.s = v.as_string();
-      break;
-  }
-  return c;
-}
-
-namespace {
-
 Truth TruthOf(const Vec& v, size_t k) {
   if (VecIsNull(v, k)) return Truth::kNull;
   if (v.type != DataType::kBool) return Truth::kOther;
   return v.b8[Lane(v, k)] != 0 ? Truth::kTrue : Truth::kFalse;
 }
 
-}  // namespace
-
-CellRef VecCell(const Vec& v, size_t k) {
-  const size_t li = Lane(v, k);
-  CellRef c;
-  if (VecIsNull(v, k)) return c;
-  c.type = v.type;
-  switch (v.type) {
-    case DataType::kNull:
-      break;
-    case DataType::kBool:
-      c.b = v.b8[li] != 0;
-      break;
-    case DataType::kInt64:
-      c.i = v.i64[li];
-      c.d = static_cast<double>(c.i);
-      break;
-    case DataType::kDouble:
-      c.d = v.f64[li];
-      break;
-    case DataType::kString:
-      c.s = v.str[li];
-      break;
-  }
-  return c;
-}
-
-bool CellLess(const CellRef& a, const CellRef& b) {
-  const int ra = CellRank(a.type);
-  const int rb = CellRank(b.type);
-  if (ra != rb) return ra < rb;
-  switch (a.type) {
-    case DataType::kNull:
-      return false;
-    case DataType::kBool:
-      return !a.b && b.b;
-    case DataType::kInt64:
-    case DataType::kDouble:
-      return a.d < b.d;
-    case DataType::kString:
-      return a.s < b.s;
-  }
-  return false;
-}
-
-bool CellEq(const CellRef& a, const CellRef& b) {
-  const bool a_num = a.type == DataType::kInt64 || a.type == DataType::kDouble;
-  const bool b_num = b.type == DataType::kInt64 || b.type == DataType::kDouble;
-  if (a_num && b_num) return a.d == b.d;
-  if (a.type != b.type) return false;
-  switch (a.type) {
-    case DataType::kNull:
-      return true;
-    case DataType::kBool:
-      return a.b == b.b;
-    case DataType::kString:
-      return a.s == b.s;
-    default:
-      return false;
-  }
-}
-
-namespace {
-
-/// Copies the payloads of cells [begin, begin + n) into `lane`, flagging
-/// the cells `get` returns nullptr for — by the Table invariant, exactly
+/// Copies the payloads of cells [in, in + n) into `lane`, flagging the
+/// cells `Rule::Get` returns nullptr for — by the Table invariant, exactly
 /// the NULL cells. The only per-cell work is one variant index load. The
 /// loop runs over raw pointers: the lanes live in the caller's Vec, and
 /// through the vectors every null-flag store (a char, which may alias
 /// anything) would force a reload of each vector's data pointer.
-template <typename T, typename GetFn>
-void FillLane(const std::vector<Value>& cells, size_t begin, size_t n,
-              GetFn get, std::vector<T>* lane, std::vector<uint8_t>* nulls) {
+template <typename Rule, typename LaneVector>
+void FillLane(const Value* in, size_t n, LaneVector* lane,
+              std::vector<uint8_t>* nulls) {
   lane->resize(n);
-  const Value* in = cells.data() + begin;
-  T* out = lane->data();
+  auto* out = lane->data();
   uint8_t* is_null = nulls->data();
   for (size_t k = 0; k < n; ++k) {
-    if (const auto* pv = get(in[k])) {
-      out[k] = static_cast<T>(*pv);
+    if (const auto* pv = Rule::Get(in[k])) {
+      out[k] = *pv;
     } else {
       is_null[k] = 1;
     }
   }
 }
 
+/// Loads the `n` cells at `in`, each NULL or of `type`, into the lane
+/// `type` selects.
+Vec LoadCells(const Value* in, size_t n, DataType type) {
+  Vec v;
+  v.type = type;
+  v.nulls.assign(n, 0);
+  VisitCellRule(type, [&](auto rule) {
+    FillLane<decltype(rule)>(in, n, &(v.*rule.kLane), &v.nulls);
+  });
+  return v;
+}
+
 }  // namespace
 
 Vec LoadColumn(const Table& input, size_t col, DataType schema_type,
                size_t begin, size_t end) {
-  const std::vector<Value>& cells = input.column(col);
-  const size_t n = end - begin;
-  Vec v;
-  v.type = schema_type;
-  // A kNull field holds only NULLs.
-  v.nulls.assign(n, schema_type == DataType::kNull ? 1 : 0);
-  switch (schema_type) {
-    case DataType::kBool:
-      FillLane(cells, begin, n, [](const Value& c) { return c.get_bool(); },
-               &v.b8, &v.nulls);
-      break;
-    case DataType::kInt64:
-      FillLane(cells, begin, n, [](const Value& c) { return c.get_int(); },
-               &v.i64, &v.nulls);
-      break;
-    case DataType::kDouble:
-      FillLane(cells, begin, n, [](const Value& c) { return c.get_double(); },
-               &v.f64, &v.nulls);
-      break;
-    case DataType::kString:
-      FillLane(cells, begin, n, [](const Value& c) { return c.get_string(); },
-               &v.str, &v.nulls);
-      break;
-    case DataType::kNull:
-      break;
-  }
-  return v;
+  return LoadCells(input.column(col).data() + begin, end - begin,
+                   schema_type);
 }
 
-namespace lanehash {
-
-/// These hashes never leave a morsel — cross-morsel group identity uses
-/// `Value::Hash` on the materialized key Values — so the only contract is
-/// CellEq-consistency: cells a probe table could compare equal must hash
-/// equal. That freedom buys a string hash far cheaper than Value's
-/// byte-at-a-time FNV (length folded with the first eight bytes, one mix).
-/// Numerics hash through double with -0.0 normalized, because CellEq
-/// compares them through double: int64 2^53 equals 2^53 + 1, and -0.0
-/// equals 0.0.
-
-uint64_t Numeric(double d) {
-  if (d == 0.0) d = 0.0;  // Normalize -0.0 (CellEq: -0.0 == 0.0).
+uint64_t CellRule<double>::Hash(double d) {
+  if (d == 0.0) d = 0.0;  // Normalize -0.0 (Eq: -0.0 == 0.0).
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(d));
   std::memcpy(&bits, &d, sizeof(bits));
   return Mix64(bits);
 }
 
-uint64_t Prefix(std::string_view s) {
+uint64_t CellRule<std::string_view>::Hash(std::string_view s) {
   uint64_t head = 0;
   if (s.size() >= sizeof(head)) {
     std::memcpy(&head, s.data(), sizeof(head));
@@ -261,59 +126,15 @@ uint64_t Prefix(std::string_view s) {
   return Mix64(head ^ (static_cast<uint64_t>(s.size()) << 56));
 }
 
-}  // namespace lanehash
-
-namespace {
-
-constexpr uint64_t kNullHash = lanehash::kNull;
-constexpr uint64_t kTrueHash = lanehash::kTrue;
-constexpr uint64_t kFalseHash = lanehash::kFalse;
-
-uint64_t NumericHash(double d) { return lanehash::Numeric(d); }
-
-uint64_t PrefixHash(std::string_view s) { return lanehash::Prefix(s); }
-
-}  // namespace
-
 void HashLane(const Vec& lane, size_t n, uint64_t* inout) {
-  switch (lane.type) {
-    case DataType::kBool:
-      for (size_t k = 0; k < n; ++k) {
-        const uint64_t h = lane.nulls[k] != 0
-                               ? kNullHash
-                               : (lane.b8[k] != 0 ? kTrueHash : kFalseHash);
-        inout[k] = HashCombine(inout[k], h);
-      }
-      break;
-    case DataType::kInt64:
-      for (size_t k = 0; k < n; ++k) {
-        const uint64_t h =
-            lane.nulls[k] != 0
-                ? kNullHash
-                : NumericHash(static_cast<double>(lane.i64[k]));
-        inout[k] = HashCombine(inout[k], h);
-      }
-      break;
-    case DataType::kDouble:
-      for (size_t k = 0; k < n; ++k) {
-        const uint64_t h =
-            lane.nulls[k] != 0 ? kNullHash : NumericHash(lane.f64[k]);
-        inout[k] = HashCombine(inout[k], h);
-      }
-      break;
-    case DataType::kString:
-      for (size_t k = 0; k < n; ++k) {
-        const uint64_t h =
-            lane.nulls[k] != 0 ? kNullHash : PrefixHash(lane.str[k]);
-        inout[k] = HashCombine(inout[k], h);
-      }
-      break;
-    case DataType::kNull:
-      for (size_t k = 0; k < n; ++k) {
-        inout[k] = HashCombine(inout[k], kNullHash);
-      }
-      break;
-  }
+  VisitCellRule(lane.type, [&](auto rule) {
+    const auto& payload = lane.*rule.kLane;
+    for (size_t k = 0; k < n; ++k) {
+      const uint64_t h =
+          lane.nulls[k] != 0 ? kNullCellHash : rule.Hash(payload[k]);
+      inout[k] = HashCombine(inout[k], h);
+    }
+  });
 }
 
 Result<int> CompiledExpr::CompileNode(const Expr& expr,
@@ -381,28 +202,10 @@ Result<CompiledExpr> CompiledExpr::Compile(const Expr& expr,
 namespace {
 
 Vec EvalLiteral(const Value& literal) {
-  Vec v;
+  // A string lane views the literal owned by the compiled node;
+  // CompiledExpr outlives every Vec it produces.
+  Vec v = LoadCells(&literal, 1, literal.type());
   v.scalar = true;
-  v.type = literal.type();
-  v.nulls.assign(1, literal.is_null() ? 1 : 0);
-  switch (v.type) {
-    case DataType::kNull:
-      break;
-    case DataType::kBool:
-      v.b8.assign(1, literal.as_bool() ? 1 : 0);
-      break;
-    case DataType::kInt64:
-      v.i64.assign(1, literal.as_int());
-      break;
-    case DataType::kDouble:
-      v.f64.assign(1, literal.as_double());
-      break;
-    case DataType::kString:
-      // Views the literal owned by the compiled node; CompiledExpr outlives
-      // every Vec it produces.
-      v.str.assign(1, literal.as_string());
-      break;
-  }
   return v;
 }
 
@@ -410,51 +213,33 @@ bool IsNumericLane(const Vec& v) {
   return v.type == DataType::kInt64 || v.type == DataType::kDouble;
 }
 
-Vec EvalCompare(CmpOp op, const Vec& l, const Vec& r, size_t n) {
-  const bool scalar = l.scalar && r.scalar;
-  const size_t rows = scalar ? 1 : n;
-  Vec out = MakeBoolVec(rows, scalar);
-  // Lane dispatch happens once per batch; the loops below never touch a
-  // variant.
-  if (IsNumericLane(l) && IsNumericLane(r)) {
-    const bool li = l.type == DataType::kInt64;
-    const bool ri = r.type == DataType::kInt64;
-    for (size_t k = 0; k < rows; ++k) {
-      if (VecIsNull(l, k) || VecIsNull(r, k)) {
-        out.nulls[k] = 1;
-        continue;
-      }
-      const double a = li ? static_cast<double>(l.i64[Lane(l, k)])
-                          : l.f64[Lane(l, k)];
-      const double b = ri ? static_cast<double>(r.i64[Lane(r, k)])
-                          : r.f64[Lane(r, k)];
-      out.b8[k] = ApplyCmp(op, a == b, a < b, b < a) ? 1 : 0;
-    }
-    return out;
-  }
-  if (l.type == DataType::kString && r.type == DataType::kString) {
-    for (size_t k = 0; k < rows; ++k) {
-      if (VecIsNull(l, k) || VecIsNull(r, k)) {
-        out.nulls[k] = 1;
-        continue;
-      }
-      const std::string_view a = l.str[Lane(l, k)];
-      const std::string_view b = r.str[Lane(r, k)];
-      out.b8[k] = ApplyCmp(op, a == b, a < b, b < a) ? 1 : 0;
-    }
-    return out;
-  }
-  // Cross-type or boolean operands: decoded-cell loop.
-  for (size_t k = 0; k < rows; ++k) {
+/// `op` over every row of a left lane of payload type A and a right lane
+/// of payload type B: one monomorphic loop per lane-type pair.
+template <typename A, typename B>
+void CompareRows(CmpOp op, const Vec& l, const Vec& r, Vec* out) {
+  const auto& left = l.*CellRule<A>::kLane;
+  const auto& right = r.*CellRule<B>::kLane;
+  for (size_t k = 0; k < out->nulls.size(); ++k) {
     if (VecIsNull(l, k) || VecIsNull(r, k)) {
-      out.nulls[k] = 1;
+      out->nulls[k] = 1;
       continue;
     }
-    const CellRef a = VecCell(l, k);
-    const CellRef b = VecCell(r, k);
-    out.b8[k] =
+    const A a = left[Lane(l, k)];
+    const B b = right[Lane(r, k)];
+    out->b8[k] =
         ApplyCmp(op, CellEq(a, b), CellLess(a, b), CellLess(b, a)) ? 1 : 0;
   }
+}
+
+Vec EvalCompare(CmpOp op, const Vec& l, const Vec& r, size_t n) {
+  const bool scalar = l.scalar && r.scalar;
+  Vec out = MakeBoolVec(scalar ? 1 : n, scalar);
+  VisitCellRule(l.type, [&](auto lrule) {
+    VisitCellRule(r.type, [&](auto rrule) {
+      CompareRows<typename decltype(lrule)::Payload,
+                  typename decltype(rrule)::Payload>(op, l, r, &out);
+    });
+  });
   return out;
 }
 

@@ -2,7 +2,9 @@
 #define LAKEKIT_QUERY_VEC_H_
 
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -67,28 +69,138 @@ enum class RangeTruth { kAlwaysFalse, kAlwaysTrue, kMaybe };
 
 struct ZoneStats;  // query/zone_map.h
 
-/// A decoded cell: the tag makes cross-type comparison a rank check instead
-/// of a variant dispatch. `s` views into storage owned elsewhere.
-struct CellRef {
-  table::DataType type = table::DataType::kNull;
-  bool b = false;
-  int64_t i = 0;
-  double d = 0;
-  std::string_view s;
+/// The engine's one cell rule (DESIGN.md §7). `CellRule<T>` defines, for
+/// the non-NULL payloads of one lane type T (bool, int64_t, double or
+/// std::string_view): the Vec lane that holds them (`kLane`), how one is
+/// read from a table cell (`Get`, nullptr for NULL), their rank in the
+/// cross-type order (`kRank`), when two are equal (`Eq`) and ordered
+/// (`Less`), and their morsel-local `Hash`. Every kernel instantiates it;
+/// what a NULL means stays with each kernel's SQL semantics.
+///
+/// The rule mirrors `Value`'s: NULL < bool < numeric < string, numerics
+/// through double (int64 2^53 equals 2^53 + 1), NaN equal to nothing.
+/// `Value`'s operators stay separate on purpose: they are the reference
+/// the differential suite checks this rule against, and HashJoin,
+/// Aggregate's cross-morsel merge and zone-map pruning use them directly.
+///
+/// `Hash` only promises that Eq-equal payloads hash equal, which trades
+/// `Value::Hash`'s bit pattern for speed (a string hashes its length and
+/// first eight bytes): a hash built from it must never cross a morsel
+/// boundary.
+template <typename T>
+struct CellRule;
+
+template <>
+struct CellRule<bool> {
+  using Payload = bool;
+  static constexpr auto kLane = &Vec::b8;
+  static constexpr int kRank = 1;
+  static const bool* Get(const table::Value& v) { return v.get_bool(); }
+  static bool Eq(bool a, bool b) { return a == b; }
+  static bool Less(bool a, bool b) { return !a && b; }
+  static uint64_t Hash(bool b) { return b ? 0x74727565ULL : 0x66616c73ULL; }
 };
 
-/// Decodes row `k` of `v` (scalars broadcast).
-CellRef VecCell(const Vec& v, size_t k);
+template <>
+struct CellRule<double> {
+  using Payload = double;
+  static constexpr auto kLane = &Vec::f64;
+  static constexpr int kRank = 2;
+  static const double* Get(const table::Value& v) { return v.get_double(); }
+  static bool Eq(double a, double b) { return a == b; }
+  static bool Less(double a, double b) { return a < b; }
+  /// -0.0 hashes as 0.0, which it equals.
+  static uint64_t Hash(double d);
+};
 
-/// Decodes a table cell into a CellRef (one variant dispatch, done once —
-/// e.g. Sort extracts all keys up front and compares tags afterwards).
-CellRef DecodeCell(const table::Value& v);
+template <>
+struct CellRule<int64_t> {
+  using Payload = int64_t;
+  static constexpr auto kLane = &Vec::i64;
+  static constexpr int kRank = 2;
+  static const int64_t* Get(const table::Value& v) { return v.get_int(); }
+  static bool Eq(int64_t a, int64_t b) {
+    return static_cast<double>(a) == static_cast<double>(b);
+  }
+  static bool Less(int64_t a, int64_t b) {
+    return static_cast<double>(a) < static_cast<double>(b);
+  }
+  static uint64_t Hash(int64_t v) {
+    return CellRule<double>::Hash(static_cast<double>(v));
+  }
+};
 
-/// Mirror Value's total order / equality exactly (NULL < bool < numeric <
-/// string; numerics compare by double across int64/double) so kernels and
-/// the reference interpreter agree bit-for-bit.
-bool CellLess(const CellRef& a, const CellRef& b);
-bool CellEq(const CellRef& a, const CellRef& b);
+template <>
+struct CellRule<std::string_view> {
+  using Payload = std::string_view;
+  static constexpr auto kLane = &Vec::str;
+  static constexpr int kRank = 3;
+  static const std::string* Get(const table::Value& v) {
+    return v.get_string();
+  }
+  static bool Eq(std::string_view a, std::string_view b) {
+    if (a.size() != b.size()) return false;
+    // Byte loop for short strings: operator== lowers to a libc memcmp
+    // call, which dominates a 4-byte comparison done once per row.
+    if (a.size() <= 16) {
+      for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i] != b[i]) return false;
+      }
+      return true;
+    }
+    return a == b;
+  }
+  static bool Less(std::string_view a, std::string_view b) { return a < b; }
+  static uint64_t Hash(std::string_view s);
+};
+
+/// The morsel-local hash of a NULL cell.
+inline constexpr uint64_t kNullCellHash = 0x6e756c6cULL;
+
+/// The rule across two lane types, which only EvalCompare meets: payloads
+/// of different ranks compare by rank alone, and a mixed int64/double pair
+/// compares as double.
+template <typename A, typename B>
+bool CellEq(const A& a, const B& b) {
+  if constexpr (CellRule<A>::kRank != CellRule<B>::kRank) {
+    return false;
+  } else if constexpr (std::is_same_v<A, B>) {
+    return CellRule<A>::Eq(a, b);
+  } else {
+    return CellRule<double>::Eq(static_cast<double>(a),
+                                static_cast<double>(b));
+  }
+}
+template <typename A, typename B>
+bool CellLess(const A& a, const B& b) {
+  if constexpr (CellRule<A>::kRank != CellRule<B>::kRank) {
+    return CellRule<A>::kRank < CellRule<B>::kRank;
+  } else if constexpr (std::is_same_v<A, B>) {
+    return CellRule<A>::Less(a, b);
+  } else {
+    return CellRule<double>::Less(static_cast<double>(a),
+                                  static_cast<double>(b));
+  }
+}
+
+/// Calls `fn(CellRule<T>{})` for the payload type T of lane type `type`
+/// and returns what it returns. A kNull lane holds only NULLs, so no
+/// kernel reads a payload from it: it visits as bool.
+template <typename Fn>
+decltype(auto) VisitCellRule(table::DataType type, Fn&& fn) {
+  switch (type) {
+    case table::DataType::kInt64:
+      return fn(CellRule<int64_t>{});
+    case table::DataType::kDouble:
+      return fn(CellRule<double>{});
+    case table::DataType::kString:
+      return fn(CellRule<std::string_view>{});
+    case table::DataType::kNull:
+    case table::DataType::kBool:
+      break;
+  }
+  return fn(CellRule<bool>{});
+}
 
 /// An Expr compiled against a schema: column references are resolved to
 /// indexes (and their schema lane types) once, so evaluation never touches
@@ -153,24 +265,9 @@ class CompiledExpr {
 Vec LoadColumn(const table::Table& input, size_t col,
                table::DataType schema_type, size_t begin, size_t end);
 
-/// Morsel-local cell-hash primitives. CellEq-equal cells hash equal
-/// (numerics through double, -0.0 normalized; NULL and the two bools get
-/// fixed constants), but these are deliberately NOT Value::Hash — they
-/// trade bit-compatibility for speed (strings hash a length-salted 8-byte
-/// prefix instead of full FNV). Hashes built from them must never cross a
-/// morsel boundary: callers that need cross-morsel identity compute it from
-/// materialized key Values (see Aggregate's group materialization).
-namespace lanehash {
-inline constexpr uint64_t kNull = 0x6e756c6cULL;
-inline constexpr uint64_t kTrue = 0x74727565ULL;
-inline constexpr uint64_t kFalse = 0x66616c73ULL;
-uint64_t Numeric(double d);
-uint64_t Prefix(std::string_view s);
-}  // namespace lanehash
-
-/// Folds `HashCombine(inout[k], hash(cell k))` into `inout[0..n)`, using
-/// the lanehash primitives above (so HashLane output is morsel-local too).
-/// The lane type switch runs once, outside the row loop.
+/// Folds `HashCombine(inout[k], hash(cell k))` into `inout[0..n)` with
+/// the lane's CellRule hash (so HashLane output is morsel-local too). The
+/// lane type dispatch runs once, outside the row loop.
 void HashLane(const Vec& lane, size_t n, uint64_t* inout);
 
 /// Number of kMorselSize morsels covering `rows` (0 rows -> 0 morsels).

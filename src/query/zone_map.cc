@@ -10,27 +10,21 @@ using table::Value;
 
 namespace {
 
-template <typename T>
-const T* Get(const Value& v) {
-  if constexpr (std::is_same_v<T, bool>) {
-    return v.get_bool();
-  } else if constexpr (std::is_same_v<T, int64_t>) {
-    return v.get_int();
-  } else {
-    return v.get_double();
-  }
-}
-
-/// Stats of rows [begin, end) of a bool, int64 or double column, compared
-/// as T: exact for int64. A NaN compares false both ways, as under Value's
+/// Stats of rows [begin, end) of a bool, int64 or double column, read
+/// through the cell rule's getter. Bounds compare as T, not through the
+/// rule's Less: they are statistics, exact for int64 where the rule
+/// compares through double, and an exact bound rounds to the double the
+/// rule would have kept, so it bounds the chunk under the rule and under
+/// Value's order alike. A NaN compares false both ways, as under Value's
 /// order, and marks the chunk unordered.
-template <typename T>
+template <typename Rule>
 void ScanChunk(const std::vector<Value>& cells, size_t begin, size_t end,
                ZoneStats& zs) {
+  using T = typename Rule::Payload;
   T lo{};
   T hi{};
   for (size_t r = begin; r < end; ++r) {
-    const T* v = Get<T>(cells[r]);
+    const T* v = Rule::Get(cells[r]);
     if (v == nullptr) {
       ++zs.null_count;
       continue;
@@ -61,7 +55,7 @@ void ScanStringChunk(const std::vector<Value>& cells, size_t begin,
   const std::string* lo = nullptr;
   const std::string* hi = nullptr;
   for (size_t r = begin; r < end; ++r) {
-    const std::string* v = cells[r].get_string();
+    const std::string* v = CellRule<std::string_view>::Get(cells[r]);
     if (v == nullptr) {
       ++zs.null_count;
       continue;
@@ -97,23 +91,15 @@ ZoneMap ZoneMap::Build(const Table& t) {
       const size_t end = std::min(rows, begin + kMorselSize);
       ZoneStats& zs = zm.stats_[m * zm.num_columns_ + col];
       zs.row_count = end - begin;
-      switch (type) {
-        case table::DataType::kBool:
-          ScanChunk<bool>(cells, begin, end, zs);
-          break;
-        case table::DataType::kInt64:
-          ScanChunk<int64_t>(cells, begin, end, zs);
-          break;
-        case table::DataType::kDouble:
-          ScanChunk<double>(cells, begin, end, zs);
-          break;
-        case table::DataType::kString:
+      VisitCellRule(type, [&](auto rule) {
+        using Rule = decltype(rule);
+        if constexpr (std::is_same_v<typename Rule::Payload,
+                                     std::string_view>) {
           ScanStringChunk(cells, begin, end, zs);
-          break;
-        case table::DataType::kNull:
-          zs.null_count = zs.row_count;
-          break;
-      }
+        } else {
+          ScanChunk<Rule>(cells, begin, end, zs);
+        }
+      });
     }
   }
   return zm;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "discovery/corpus.h"
 #include "enrich/d4.h"
@@ -216,6 +219,42 @@ TEST(RfdTest, PairLhsDiscoveredWhenSinglesFail) {
     }
   }
   EXPECT_TRUE(pair_found);
+}
+
+/// A string table with columns `names`, one row per entry of `rows`;
+/// std::nullopt is NULL.
+table::Table StringTable(
+    const std::vector<std::string>& names,
+    const std::vector<std::vector<std::optional<std::string>>>& rows) {
+  std::vector<table::Field> fields;
+  for (const std::string& name : names) {
+    fields.push_back({name, table::DataType::kString, true});
+  }
+  table::Table t("t", table::Schema(fields));
+  for (const auto& row : rows) {
+    std::vector<table::Value> cells;
+    for (const auto& cell : row) {
+      cells.push_back(cell ? table::Value(*cell) : table::Value::Null());
+    }
+    EXPECT_TRUE(t.AppendRow(std::move(cells)).ok());
+  }
+  return t;
+}
+
+// Row keys are self-delimiting: no choice of cell bytes makes two distinct
+// LHS tuples, or a NULL and a string, share a group.
+TEST(RfdTest, DistinctLhsTuplesNeverShareAGroup) {
+  // "\x02" "b": as one literal, "\x02b" would be the single byte 0x2b.
+  const table::Table split = StringTable(
+      {"a", "b", "y"}, {{"a\x02", "b", "x"}, {"a", "\x02" "b", "z"}});
+  EXPECT_DOUBLE_EQ(EvaluateFd(split, {"a", "b"}, "y").confidence, 1.0);
+  const table::Table null_lhs =
+      StringTable({"a", "y"}, {{std::nullopt, "x"}, {"\x01", "z"}});
+  EXPECT_DOUBLE_EQ(EvaluateFd(null_lhs, {"a"}, "y").confidence, 1.0);
+  // A NULL right-hand side is its own value, not the string "\x01".
+  const table::Table null_rhs =
+      StringTable({"a", "y"}, {{"k", std::nullopt}, {"k", "\x01"}});
+  EXPECT_DOUBLE_EQ(EvaluateFd(null_rhs, {"a"}, "y").confidence, 0.5);
 }
 
 TEST(RfdTest, EvaluateUnknownColumnsYieldsZeroConfidence) {

@@ -191,6 +191,19 @@ TEST(InclusionDepsTest, BinaryIndRequiresTupleLevelInclusion) {
   EXPECT_FALSE(HoldsInclusion(*dep, {0, 1}, *ref, {0, 1}));
 }
 
+// A tuple's key is self-delimiting: ("a\x02", "b") is not ("a", "\x02b").
+TEST(InclusionDepsTest, TupleKeysDoNotCollide) {
+  const table::Schema schema({{"x", table::DataType::kString, true},
+                              {"y", table::DataType::kString, true}});
+  table::Table dep("dep", schema);
+  ASSERT_TRUE(dep.AppendRow({table::Value("a\x02"), table::Value("b")}).ok());
+  table::Table ref("ref", schema);
+  // "\x02" "b": as one literal, "\x02b" would be the single byte 0x2b.
+  ASSERT_TRUE(
+      ref.AppendRow({table::Value("a"), table::Value("\x02" "b")}).ok());
+  EXPECT_FALSE(HoldsInclusion(dep, {0, 1}, ref, {0, 1}));
+}
+
 TEST(InclusionDepsTest, MinDistinctFiltersTinyColumns) {
   auto a = table::Table::FromCsv("a", "flag\n0\n0\n");
   auto b = table::Table::FromCsv("b", "bit\n0\n1\n");

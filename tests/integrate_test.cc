@@ -162,5 +162,21 @@ TEST(FullDisjunctionTest, DeduplicatesIdenticalRows) {
   EXPECT_EQ(fd->num_rows(), 1u);
 }
 
+// ("a\x02", "b") and ("a", "\x02b") are two tuples, so neither is dropped
+// as a duplicate of the other.
+TEST(FullDisjunctionTest, DistinctTuplesWithSeparatorBytesBothSurvive) {
+  const table::Schema schema({{"x", table::DataType::kString, true},
+                              {"y", table::DataType::kString, true}});
+  table::Table a("a", schema);
+  ASSERT_TRUE(a.AppendRow({table::Value("a\x02"), table::Value("b")}).ok());
+  table::Table b("b", schema);
+  // "\x02" "b": as one literal, "\x02b" would be the single byte 0x2b.
+  ASSERT_TRUE(
+      b.AppendRow({table::Value("a"), table::Value("\x02" "b")}).ok());
+  auto fd = IntegrateTables({a, b});
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ(fd->num_rows(), 2u);
+}
+
 }  // namespace
 }  // namespace lakekit::integrate

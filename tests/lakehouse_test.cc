@@ -294,6 +294,50 @@ TEST_F(LakehouseTest, DeleteWithNoMatchesIsNoop) {
   EXPECT_EQ(*t->Version(), 1);  // no commit happened
 }
 
+// Only rows whose predicate is true are deleted: a NULL verdict keeps the
+// row, as a false one does.
+TEST_F(LakehouseTest, DeleteKeepsRowsWhosePredicateIsNull) {
+  auto t = DeltaTable::Create(store_.get(), "orders", OrdersSchema());
+  ASSERT_TRUE(t.ok());
+  table::Table rows("orders", OrdersSchema());
+  ASSERT_TRUE(rows.AppendRow({table::Value(int64_t{1}), table::Value("a"),
+                              table::Value(int64_t{0})})
+                  .ok());
+  ASSERT_TRUE(rows.AppendRow({table::Value(int64_t{2}), table::Value("b"),
+                              table::Value::Null()})
+                  .ok());
+  ASSERT_TRUE(rows.AppendRow({table::Value(int64_t{3}), table::Value("c"),
+                              table::Value(int64_t{5})})
+                  .ok());
+  ASSERT_TRUE(t->Append(rows).ok());
+  auto pred = query::Expr::Compare(
+      query::CmpOp::kEq, query::Expr::Column("qty"),
+      query::Expr::Literal(table::Value(int64_t{0})));
+  ASSERT_TRUE(t->DeleteWhere(*pred).ok());
+  auto after = t->Read();
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->num_rows(), 2u);
+  EXPECT_EQ(after->at(0, 0), table::Value(int64_t{2}));
+  EXPECT_TRUE(after->at(0, 2).is_null());
+  EXPECT_EQ(after->at(1, 0), table::Value(int64_t{3}));
+}
+
+// A predicate that fails on a part (arithmetic on a string column) fails
+// the delete, and no version is committed.
+TEST_F(LakehouseTest, DeleteWhosePredicateErrorsCommitsNothing) {
+  auto t = DeltaTable::Create(store_.get(), "orders", OrdersSchema());
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE(t->Append(OrdersRows(0, 3)).ok());
+  auto pred = query::Expr::Compare(
+      query::CmpOp::kEq,
+      query::Expr::Arith(query::ArithOp::kAdd, query::Expr::Column("item"),
+                         query::Expr::Literal(table::Value(int64_t{1}))),
+      query::Expr::Literal(table::Value(int64_t{2})));
+  EXPECT_TRUE(t->DeleteWhere(*pred).IsInvalidArgument());
+  EXPECT_EQ(*t->Version(), 1);
+  EXPECT_EQ(t->Read()->num_rows(), 3u);
+}
+
 TEST_F(LakehouseTest, OpenExistingTable) {
   {
     auto t = DeltaTable::Create(store_.get(), "orders", OrdersSchema());

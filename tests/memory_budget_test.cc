@@ -1,7 +1,7 @@
 // Tests for hierarchical memory accounting (common/memory_budget.h):
 // root reserve/release semantics, the never-over-capacity CAS invariant
-// under concurrent reservers, child-account caps and settlement, and
-// MemoryCharge's quantum batching.
+// under concurrent reservers, child-account caps and settlement, and the
+// scoped holder the operators reserve through.
 
 #include "common/memory_budget.h"
 
@@ -151,43 +151,68 @@ TEST(BudgetAccountTest, SiblingsContendForOneParent) {
   EXPECT_EQ(budget.used(), 70u);
 }
 
-TEST(MemoryChargeTest, BatchesThroughQuanta) {
-  MemoryBudget budget(10 * kBudgetQuantumBytes);
+TEST(ScopedReservationTest, ReleasesEverythingAtDestruction) {
+  MemoryBudget budget(1000);
   BudgetAccount account(&budget);
   {
-    MemoryCharge charge(&account);
-    // Many small debits; the account only sees whole quanta.
-    for (int i = 0; i < 100; ++i) LAKEKIT_CHECK_OK(charge.Add(100));
-    EXPECT_EQ(charge.held(), 10000u);
-    EXPECT_EQ(account.used(), kBudgetQuantumBytes);
-    // A debit bigger than a quantum grabs enough whole quanta at once.
-    LAKEKIT_CHECK_OK(charge.Add(3 * kBudgetQuantumBytes));
-    EXPECT_EQ(account.used(), 4 * kBudgetQuantumBytes);
+    ScopedReservation scope(&account);
+    LAKEKIT_CHECK_OK(scope.Reserve(300));
+    LAKEKIT_CHECK_OK(scope.Reserve(200));
+    EXPECT_EQ(account.used(), 500u);
+    EXPECT_EQ(budget.used(), 500u);
   }
-  // Destruction returns the full quantum-rounded reservation.
   EXPECT_EQ(account.used(), 0u);
   EXPECT_EQ(budget.used(), 0u);
 }
 
-TEST(MemoryChargeTest, RefusalLeavesLocalAccountingUnchanged) {
-  MemoryBudget budget(kBudgetQuantumBytes);
+TEST(ScopedReservationTest, RefusedReserveHoldsNothingMore) {
+  MemoryBudget budget(100);
   BudgetAccount account(&budget);
-  MemoryCharge charge(&account);
-  LAKEKIT_CHECK_OK(charge.Add(kBudgetQuantumBytes));
-  const size_t held = charge.held();
-  EXPECT_TRUE(charge.Add(1).IsResourceExhausted());
-  EXPECT_EQ(charge.held(), held);
-  // After an upstream release the same Add succeeds.
-  charge.ReleaseAll();
-  LAKEKIT_CHECK_OK(charge.Add(1));
+  {
+    ScopedReservation scope(&account);
+    LAKEKIT_CHECK_OK(scope.Reserve(60));
+    EXPECT_TRUE(scope.Reserve(41).IsResourceExhausted());
+    EXPECT_EQ(account.used(), 60u);
+    LAKEKIT_CHECK_OK(scope.Reserve(40));
+    EXPECT_EQ(account.used(), 100u);
+  }
+  // The destructor returns exactly what was granted, not the refusal.
+  EXPECT_EQ(account.used(), 0u);
+  EXPECT_EQ(budget.used(), 0u);
 }
 
-TEST(MemoryChargeTest, NullAndDetachedAccountsAreFree) {
-  MemoryCharge null_charge(nullptr);
-  LAKEKIT_CHECK_OK(null_charge.Add(static_cast<size_t>(-1)));
+TEST(ScopedReservationTest, ConcurrentReservesSumExactly) {
+  constexpr int kThreads = 8;
+  constexpr int kReserves = 1000;
+  MemoryBudget budget(1u << 30);
+  BudgetAccount account(&budget);
+  {
+    ScopedReservation scope(&account);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&scope, t] {
+        for (int i = 0; i < kReserves; ++i) {
+          LAKEKIT_CHECK_OK(scope.Reserve(static_cast<size_t>(t + 1)));
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    // 1 + 2 + ... + kThreads bytes, kReserves times each.
+    const size_t expected = kReserves * kThreads * (kThreads + 1) / 2;
+    EXPECT_EQ(account.used(), expected);
+    EXPECT_EQ(budget.used(), expected);
+  }
+  EXPECT_EQ(account.used(), 0u);
+  EXPECT_EQ(budget.used(), 0u);
+}
+
+TEST(ScopedReservationTest, NullAndDetachedAccountsAreFree) {
+  ScopedReservation null_scope(nullptr);
+  LAKEKIT_CHECK_OK(null_scope.Reserve(static_cast<size_t>(-1)));
   BudgetAccount detached;
-  MemoryCharge detached_charge(&detached);
-  LAKEKIT_CHECK_OK(detached_charge.Add(static_cast<size_t>(-1)));
+  ScopedReservation detached_scope(&detached);
+  LAKEKIT_CHECK_OK(detached_scope.Reserve(static_cast<size_t>(-1)));
+  EXPECT_EQ(detached.used(), 0u);
 }
 
 }  // namespace

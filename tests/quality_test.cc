@@ -50,6 +50,21 @@ TEST(ConstraintCheckerTest, FindsViolatingPairs) {
   EXPECT_EQ(pairs[1], (std::pair<size_t, size_t>{1, 2}));
 }
 
+// Rows group under the same Value equality the predicates apply: 0.0 and
+// -0.0 are equal, so the pair violates x -> y.
+TEST(ConstraintCheckerTest, SignedZerosShareAnEqualityGroup) {
+  const table::Schema schema({{"x", table::DataType::kDouble, true},
+                              {"y", table::DataType::kString, true}});
+  table::Table t("t", schema);
+  ASSERT_TRUE(t.AppendRow({table::Value(0.0), table::Value("p")}).ok());
+  ASSERT_TRUE(t.AppendRow({table::Value(-0.0), table::Value("q")}).ok());
+  DenialConstraint dc;
+  dc.predicates = {{"x", Op::kEq, "x"}, {"y", Op::kNe, "y"}};
+  const auto pairs = ConstraintChecker::FindViolatingPairs(t, dc);
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(pairs[0], (std::pair<size_t, size_t>{0, 1}));
+}
+
 TEST(ConstraintCheckerTest, UnknownColumnsYieldNoViolations) {
   auto t = table::Table::FromCsv("t", "a\n1\n2\n");
   DenialConstraint dc;
