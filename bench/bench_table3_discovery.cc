@@ -9,6 +9,11 @@
 //   - PEXESO-style: semantic joinability is exercised in discovery tests
 //     (it requires planted semantic domains, not value overlap)
 //
+//   - table union search: attribute unionability from precomputed name
+//     grams, MinHash and embeddings, aligned per candidate table
+//   - catalog keyword search (GOODS-style), the lookup that starts most
+//     discovery sessions
+//
 // Expected shape: LSH-based Aurum queries stay flat as the lake grows while
 // brute force grows linearly per query (quadratically for all-pairs);
 // JOSIE is exact (recall 1.0) at higher per-query cost than Aurum; D3L
@@ -17,14 +22,20 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <string>
 
+#include "catalog/catalog.h"
 #include "discovery/aurum.h"
 #include "discovery/brute_force.h"
 #include "discovery/corpus.h"
 #include "discovery/d3l.h"
 #include "discovery/josie.h"
+#include "discovery/union_search.h"
+#include "json/value.h"
 #include "workload/generator.h"
 
 #include "common/status.h"
@@ -41,6 +52,7 @@ struct Fixture {
   std::unique_ptr<JosieFinder> josie;
   std::unique_ptr<D3lFinder> d3l;
   std::unique_ptr<BruteForceFinder> brute;
+  std::unique_ptr<UnionSearch> union_search;
   std::vector<std::pair<ColumnId, ColumnId>> queries;  // (query, expected)
 };
 
@@ -65,6 +77,7 @@ Fixture& GetFixture(int num_tables) {
   f->d3l = std::make_unique<D3lFinder>(f->corpus.get());
   LAKEKIT_CHECK_OK(f->d3l->Build());
   f->brute = std::make_unique<BruteForceFinder>(f->corpus.get());
+  f->union_search = std::make_unique<UnionSearch>(f->corpus.get());
   for (const auto& pair : f->lake.planted) {
     f->queries.emplace_back(
         *f->corpus->FindColumn(pair.table_a, pair.column_a),
@@ -117,6 +130,90 @@ void BM_Discovery_D3l_Query(benchmark::State& state) {
   RunQueries(state, [](Fixture& f, ColumnId q) {
     return f.d3l->TopKRelatedColumns(q, 1);
   });
+}
+
+/// One table union search per planted pair's query table: every other
+/// table is aligned attribute by attribute, so a call costs O(tables x
+/// columns^2) pair scores, each a name-gram merge, a MinHash compare and an
+/// embedding cosine.
+void BM_Discovery_Union_Query(benchmark::State& state) {
+  Fixture& f = GetFixture(static_cast<int>(state.range(0)));
+  size_t calls = 0;
+  for (auto _ : state) {
+    for (const auto& [query, expected] : f.queries) {
+      auto matches = f.union_search->TopKUnionableTables(query.table_idx, 3);
+      benchmark::DoNotOptimize(matches);
+      ++calls;
+    }
+  }
+  state.counters["queries"] = static_cast<double>(f.queries.size());
+  state.SetItemsProcessed(static_cast<int64_t>(calls));
+}
+
+/// Keyword search over a catalog of 168 entries shaped like the end-to-end
+/// discovery lake's: 152 CSV tables, 8 JSON and 8 log files, each described
+/// by one of 16 shard keywords, with a schema signature, profiled columns
+/// and, for logs, content keywords. Each call matches one shard's entries.
+void BM_Catalog_Search(benchmark::State& state) {
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           "lakekit_bench_catalog_search")
+                              .string();
+  std::filesystem::remove_all(dir);
+  {
+    Result<catalog::Catalog> cat = catalog::Catalog::Open(dir);
+    LAKEKIT_CHECK_OK(cat.status());
+    char shard[16];
+    for (size_t i = 0; i < 168; ++i) {
+      catalog::DatasetEntry e;
+      const bool csv = i < 152;
+      e.name = csv ? "table" + std::to_string(i)
+                   : (i < 160 ? "docs" : "log") + std::to_string(i % 8);
+      e.path = "/lake/" + e.name + (csv ? ".csv" : i < 160 ? ".json" : ".log");
+      e.format = csv ? "csv" : i < 160 ? "json" : "log";
+      e.size_bytes = 60000;
+      e.num_records = 800;
+      json::Array columns;
+      json::Array keywords;
+      for (size_t c = 0; c < 5; ++c) {
+        const std::string col = c == 0 ? "id" : "attr" + std::to_string(c);
+        e.schema += (c == 0 ? "" : ",") + col + (c == 0 ? ":int64" : ":string");
+        json::Object profile;
+        profile.Set("name", json::Value(col));
+        profile.Set("distinct", json::Value(static_cast<int64_t>(700 + c)));
+        profile.Set("nulls", json::Value(static_cast<int64_t>(0)));
+        profile.Set("candidate_key", json::Value(c == 0));
+        columns.emplace_back(std::move(profile));
+      }
+      if (i >= 160) {
+        for (const char* kw : {"connection", "fetching", "request", "shard",
+                               "timeout", "user", "while", "worker"}) {
+          keywords.emplace_back(kw);
+        }
+      }
+      json::Object content;
+      content.Set("keywords", json::Value(std::move(keywords)));
+      content.Set("columns", json::Value(std::move(columns)));
+      e.content = json::Value(std::move(content));
+      std::snprintf(shard, sizeof(shard), "shard-%02zu", i % 16);
+      e.description = shard;
+      LAKEKIT_CHECK_OK(cat->Register(std::move(e)));
+    }
+  }
+  Result<catalog::Catalog> cat = catalog::Catalog::Open(dir);
+  LAKEKIT_CHECK_OK(cat.status());
+  size_t calls = 0;
+  size_t hits = 0;
+  char shard[16];
+  for (auto _ : state) {
+    std::snprintf(shard, sizeof(shard), "shard-%02zu", calls++ % 16);
+    std::vector<catalog::DatasetEntry> found = cat->Search(shard);
+    hits += found.size();
+    benchmark::DoNotOptimize(found);
+  }
+  state.counters["hits_per_call"] =
+      calls == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(calls);
+  state.SetItemsProcessed(static_cast<int64_t>(calls));
+  std::filesystem::remove_all(dir);
 }
 
 /// Index build cost: the investment that buys fast queries. Brute force has
@@ -227,6 +324,8 @@ BENCHMARK(BM_Discovery_BruteForce_Query)->Arg(32)->Arg(96)->Arg(192);
 BENCHMARK(BM_Discovery_Aurum_Query)->Arg(32)->Arg(96)->Arg(192);
 BENCHMARK(BM_Discovery_Josie_Query)->Arg(32)->Arg(96)->Arg(192);
 BENCHMARK(BM_Discovery_D3l_Query)->Arg(32)->Arg(96)->Arg(192);
+BENCHMARK(BM_Discovery_Union_Query)->Arg(32)->Arg(96)->Arg(192);
+BENCHMARK(BM_Catalog_Search);
 BENCHMARK(BM_Discovery_Aurum_Build)->Arg(32)->Arg(96)->Arg(192);
 BENCHMARK(BM_Discovery_Josie_Build)->Arg(32)->Arg(96)->Arg(192);
 BENCHMARK(BM_Discovery_AllPairs_BruteForce)->Arg(32)->Arg(96)->Arg(192);

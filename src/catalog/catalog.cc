@@ -101,7 +101,24 @@ Result<Catalog> Catalog::Open(const std::string& dir) {
   if (clock.ok()) {
     catalog.clock_ = std::stoll(*clock);
   }
+  LAKEKIT_ASSIGN_OR_RETURN(auto pairs, catalog.store_->ScanPrefix("ds/"));
+  for (const auto& [key, payload] : pairs) {
+    LAKEKIT_ASSIGN_OR_RETURN(Current current, Load(payload));
+    catalog.current_.emplace(key.substr(3), std::move(current));
+  }
   return catalog;
+}
+
+Result<Catalog::Current> Catalog::Load(std::string_view payload) {
+  LAKEKIT_ASSIGN_OR_RETURN(json::Value v, json::Parse(payload));
+  LAKEKIT_ASSIGN_OR_RETURN(DatasetEntry e, DatasetEntry::FromJson(v));
+  std::string text = ToLower(e.name) + " " + ToLower(e.description) + " " +
+                     ToLower(e.schema);
+  for (const std::string& tag : e.tags) text += " " + ToLower(tag);
+  for (const std::string& kw : JsonToStrings(e.content.Get("keywords"))) {
+    text += " " + ToLower(kw);
+  }
+  return Current{std::move(e), std::move(text)};
 }
 
 int64_t Catalog::NextTimestamp() {
@@ -112,20 +129,28 @@ int64_t Catalog::NextTimestamp() {
   return clock_;
 }
 
+Status Catalog::Write(const DatasetEntry& entry) {
+  std::string payload = json::Write(entry.ToJson());
+  // The in-memory entry is the payload parsed back, so it is exactly what a
+  // reopened catalog would hold.
+  LAKEKIT_ASSIGN_OR_RETURN(Current current, Load(payload));
+  LAKEKIT_RETURN_IF_ERROR(store_->Put(EntryKey(entry.name), payload));
+  current_.insert_or_assign(entry.name, std::move(current));
+  return store_->Put(HistoryKey(entry.name, entry.version), payload);
+}
+
 Status Catalog::Register(DatasetEntry entry) {
   if (entry.name.empty()) {
     return Status::InvalidArgument("dataset entry needs a name");
   }
-  if (store_->Get(EntryKey(entry.name)).ok()) {
+  if (current_.find(entry.name) != current_.end()) {
     return Status::AlreadyExists("dataset '" + entry.name +
                                  "' already cataloged");
   }
   entry.version = 1;
   entry.created_at = NextTimestamp();
   entry.updated_at = entry.created_at;
-  std::string payload = json::Write(entry.ToJson());
-  LAKEKIT_RETURN_IF_ERROR(store_->Put(EntryKey(entry.name), payload));
-  return store_->Put(HistoryKey(entry.name, entry.version), payload);
+  return Write(entry);
 }
 
 Status Catalog::Update(DatasetEntry entry) {
@@ -133,15 +158,16 @@ Status Catalog::Update(DatasetEntry entry) {
   entry.version = current.version + 1;
   entry.created_at = current.created_at;
   entry.updated_at = NextTimestamp();
-  std::string payload = json::Write(entry.ToJson());
-  LAKEKIT_RETURN_IF_ERROR(store_->Put(EntryKey(entry.name), payload));
-  return store_->Put(HistoryKey(entry.name, entry.version), payload);
+  return Write(entry);
 }
 
 Result<DatasetEntry> Catalog::Get(std::string_view name) const {
-  LAKEKIT_ASSIGN_OR_RETURN(std::string payload, store_->Get(EntryKey(name)));
-  LAKEKIT_ASSIGN_OR_RETURN(json::Value v, json::Parse(payload));
-  return DatasetEntry::FromJson(v);
+  auto it = current_.find(name);
+  if (it == current_.end()) {
+    return Status::NotFound("dataset '" + std::string(name) +
+                            "' not cataloged");
+  }
+  return it->second.entry;
 }
 
 Result<DatasetEntry> Catalog::GetVersion(std::string_view name,
@@ -170,8 +196,9 @@ Result<std::vector<DatasetEntry>> Catalog::History(
 }
 
 Status Catalog::Remove(std::string_view name) {
-  LAKEKIT_RETURN_IF_ERROR(store_->Get(EntryKey(name)).status());
+  LAKEKIT_RETURN_IF_ERROR(Get(name).status());
   LAKEKIT_RETURN_IF_ERROR(store_->Delete(EntryKey(name)));
+  current_.erase(current_.find(name));
   LAKEKIT_ASSIGN_OR_RETURN(
       auto pairs, store_->ScanPrefix("hist/" + std::string(name) + "/"));
   for (const auto& [key, payload] : pairs) {
@@ -182,52 +209,37 @@ Status Catalog::Remove(std::string_view name) {
 
 std::vector<std::string> Catalog::ListDatasets() const {
   std::vector<std::string> out;
-  Result<std::vector<std::pair<std::string, std::string>>> pairs =
-      store_->ScanPrefix("ds/");
-  if (!pairs.ok()) return out;
-  for (const auto& [key, payload] : *pairs) {
-    out.push_back(key.substr(3));
-  }
+  out.reserve(current_.size());
+  for (const auto& [name, current] : current_) out.push_back(name);
   return out;
 }
 
-std::vector<DatasetEntry> Catalog::Scan(
-    const std::function<bool(const DatasetEntry&)>& keep) const {
+std::vector<DatasetEntry> Catalog::Filter(
+    const std::function<bool(const Current&)>& keep) const {
   std::vector<DatasetEntry> out;
-  Result<std::vector<std::pair<std::string, std::string>>> pairs =
-      store_->ScanPrefix("ds/");
-  if (!pairs.ok()) return out;
-  for (const auto& [key, payload] : *pairs) {
-    Result<json::Value> v = json::Parse(payload);
-    if (!v.ok()) continue;
-    Result<DatasetEntry> e = DatasetEntry::FromJson(*v);
-    if (!e.ok()) continue;
-    if (keep(*e)) out.push_back(std::move(*e));
+  for (const auto& [name, current] : current_) {
+    if (keep(current)) out.push_back(current.entry);
   }
   return out;
 }
 
 std::vector<DatasetEntry> Catalog::Search(std::string_view keyword) const {
   const std::string needle = ToLower(keyword);
-  return Scan([&needle](const DatasetEntry& e) {
-    std::string haystack = ToLower(e.name) + " " + ToLower(e.description) +
-                           " " + ToLower(e.schema);
-    for (const std::string& tag : e.tags) haystack += " " + ToLower(tag);
-    for (const std::string& kw : JsonToStrings(e.content.Get("keywords"))) {
-      haystack += " " + ToLower(kw);
-    }
-    return haystack.find(needle) != std::string::npos;
+  return Filter([&needle](const Current& c) {
+    return c.search_text.find(needle) != std::string::npos;
   });
 }
 
 std::vector<DatasetEntry> Catalog::FindByTag(std::string_view tag) const {
-  return Scan([tag](const DatasetEntry& e) {
-    return std::find(e.tags.begin(), e.tags.end(), tag) != e.tags.end();
+  return Filter([tag](const Current& c) {
+    const std::vector<std::string>& tags = c.entry.tags;
+    return std::find(tags.begin(), tags.end(), tag) != tags.end();
   });
 }
 
 std::vector<DatasetEntry> Catalog::FindByOwner(std::string_view owner) const {
-  return Scan([owner](const DatasetEntry& e) { return e.owner == owner; });
+  return Filter(
+      [owner](const Current& c) { return c.entry.owner == owner; });
 }
 
 }  // namespace lakekit::catalog

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -57,9 +58,18 @@ struct DatasetEntry {
 /// live in an ordered key-value store (lakekit's Bigtable stand-in); every
 /// update keeps the previous version retrievable, enabling the
 /// "cluster versions of the same dataset" organization GOODS performs.
+///
+/// The current entries are also held in memory, each parsed once (at `Open`
+/// or when written) together with its lowercased search text, so lookups
+/// and keyword search read memory — the catalog's in-memory data index.
+/// The store stays the durable copy; `History` and `GetVersion` read it.
+///
+/// Thread safety: const calls may run concurrently with each other; a
+/// mutating call (Register, Update, Remove) must not overlap any other call.
 class Catalog {
  public:
-  /// Opens a catalog persisted under `dir`.
+  /// Opens a catalog persisted under `dir`. Corruption if a current entry
+  /// does not parse.
   static Result<Catalog> Open(const std::string& dir);
 
   Catalog(Catalog&&) = default;
@@ -98,20 +108,33 @@ class Catalog {
   /// Entries owned by `owner`.
   std::vector<DatasetEntry> FindByOwner(std::string_view owner) const;
 
-  size_t num_datasets() const { return ListDatasets().size(); }
+  size_t num_datasets() const { return current_.size(); }
 
  private:
+  /// One current entry and the lowercased text `Search` matches against.
+  struct Current {
+    DatasetEntry entry;
+    std::string search_text;
+  };
+
   explicit Catalog(std::unique_ptr<storage::KvStore> store);
 
   int64_t NextTimestamp();
 
-  /// The current entries that `keep` accepts, in name order: one pass over
-  /// the store, each entry read and parsed once.
-  std::vector<DatasetEntry> Scan(
-      const std::function<bool(const DatasetEntry&)>& keep) const;
+  /// Writes `entry` as the current version (`ds/<name>`), then its history
+  /// record; the in-memory entry follows once the first Put has succeeded.
+  Status Write(const DatasetEntry& entry);
+
+  /// Parses a stored payload into its in-memory form.
+  static Result<Current> Load(std::string_view payload);
+
+  /// The current entries that `keep` accepts, in name order.
+  std::vector<DatasetEntry> Filter(
+      const std::function<bool(const Current&)>& keep) const;
 
   std::unique_ptr<storage::KvStore> store_;
   int64_t clock_ = 0;
+  std::map<std::string, Current, std::less<>> current_;
 };
 
 }  // namespace lakekit::catalog

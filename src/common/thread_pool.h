@@ -80,12 +80,12 @@ struct ParallelOptions {
   /// Cooperative cancellation, checked once per chunk before it starts:
   /// a cancelled token skips every not-yet-started chunk and ParallelFor
   /// returns the token's status. Default-constructed: never cancelled.
-  CancelToken cancel;
+  CancelToken cancel{};
   /// Deadline, checked once per chunk before it starts: expiry skips every
   /// not-yet-started chunk and ParallelFor returns kDeadlineExceeded.
   /// Default: infinite. For finer-than-chunk granularity (e.g. per-morsel
   /// in the query engine), `fn` checks and returns the error itself.
-  Deadline deadline;
+  Deadline deadline{};
 };
 
 /// Runs `fn(i)` for every i in [begin, end) across the pool, blocking until

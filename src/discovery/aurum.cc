@@ -27,14 +27,11 @@ Status AurumFinder::Build(ThreadPool* pool) {
   ekg_node_of_.clear();
   ekg_node_of_.reserve(sketches.size());
   std::unordered_map<uint32_t, std::vector<Ekg::NodeId>> table_nodes;
-  std::unordered_map<uint64_t, size_t> sketch_of_packed;
-  sketch_of_packed.reserve(sketches.size());
   for (size_t i = 0; i < sketches.size(); ++i) {
     const ColumnSketch& s = sketches[i];
     Ekg::NodeId node = ekg_.AddNode(s.table_name, s.column_name);
     ekg_node_of_.push_back(node);
     table_nodes[s.id.table_idx].push_back(node);
-    sketch_of_packed[s.id.Packed()] = i;
   }
   for (auto& [table_idx, nodes] : table_nodes) {
     ekg_.AddHyperedge("table:" + corpus_->table(table_idx).name(),
@@ -69,7 +66,8 @@ Status AurumFinder::Build(ThreadPool* pool) {
           double estimate = s.minhash.EstimateJaccard(other.minhash);
           if (estimate >= options_.content_edge_threshold) {
             content_edges[i].push_back(
-                VerifiedEdge{sketch_of_packed.at(packed), estimate});
+                VerifiedEdge{static_cast<size_t>(&other - sketches.data()),
+                             estimate});
           }
         }
         return Status::OK();
@@ -135,7 +133,7 @@ Status AurumFinder::Build(ThreadPool* pool) {
       [&](size_t i) -> Status {
         const ColumnSketch& pk = sketches[i];
         if (pk.profile.uniqueness() < options_.pkfk_uniqueness_threshold ||
-            pk.value_set.empty()) {
+            pk.sorted_values.empty()) {
           return Status::OK();
         }
         // Only check LSH/content candidates plus exact containment verify.
@@ -146,7 +144,8 @@ Status AurumFinder::Build(ThreadPool* pool) {
           double containment = ExactContainment(fk, pk);
           if (containment >= options_.pkfk_containment_threshold) {
             pkfk_edges[i].push_back(
-                VerifiedEdge{sketch_of_packed.at(packed), containment});
+                VerifiedEdge{static_cast<size_t>(&fk - sketches.data()),
+                             containment});
           }
         }
         return Status::OK();

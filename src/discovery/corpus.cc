@@ -3,31 +3,26 @@
 #include <algorithm>
 #include <cctype>
 
+#include "common/hash.h"
 #include "text/tokenize.h"
 
 namespace lakekit::discovery {
 
 size_t ExactOverlap(const ColumnSketch& a, const ColumnSketch& b) {
-  const ColumnSketch& small = a.value_set.size() <= b.value_set.size() ? a : b;
-  const ColumnSketch& large = a.value_set.size() <= b.value_set.size() ? b : a;
-  size_t overlap = 0;
-  for (const std::string& v : small.value_set) {
-    if (large.value_set.count(v) > 0) ++overlap;
-  }
-  return overlap;
+  return text::SortedOverlap(a.sorted_values, b.sorted_values);
 }
 
 double ExactJaccard(const ColumnSketch& a, const ColumnSketch& b) {
   size_t inter = ExactOverlap(a, b);
-  size_t uni = a.value_set.size() + b.value_set.size() - inter;
+  size_t uni = a.sorted_values.size() + b.sorted_values.size() - inter;
   return uni == 0 ? 0.0
                   : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 double ExactContainment(const ColumnSketch& a, const ColumnSketch& b) {
-  if (a.value_set.empty()) return 0.0;
+  if (a.sorted_values.empty()) return 0.0;
   return static_cast<double>(ExactOverlap(a, b)) /
-         static_cast<double>(a.value_set.size());
+         static_cast<double>(a.sorted_values.size());
 }
 
 std::string FormatPattern(std::string_view value) {
@@ -50,6 +45,70 @@ std::string FormatPattern(std::string_view value) {
   }
   return out;
 }
+
+namespace {
+
+/// A column's distinct rendered values, before they are interned.
+struct ColumnValues {
+  text::StringDictionary distinct;
+  std::vector<uint64_t> hashes;  // Fnv1a64 of each, by local id
+};
+
+/// A column's sketch but for its dictionary ids: a pure function of the
+/// column and the options.
+ColumnSketch BuildSketch(ColumnId id, const table::Table& t, size_t col,
+                         const CorpusOptions& options,
+                         const text::MinHasher& minhasher,
+                         const text::EmbeddingModel& embedder,
+                         ColumnValues* values) {
+  ColumnSketch sketch;
+  sketch.id = id;
+  sketch.table_name = t.name();
+  sketch.column_name = t.schema().field(col).name;
+  sketch.type = t.schema().field(col).type;
+  sketch.name_tokens = text::Tokenize(sketch.column_name);
+  sketch.name_grams = text::NameGrams(sketch.column_name);
+  sketch.profile =
+      ingest::Profiler::ProfileColumn(sketch.column_name, t.column(col));
+
+  // Distinct values + format histogram + numeric sample, the innermost loop
+  // of ingestion. A string cell is read in place; other cells render into
+  // one reused buffer. Each cell's hash serves the dedup probe here, the
+  // MinHash below and the corpus dictionary's probe later.
+  std::string rendered;
+  for (const table::Value& v : t.column(col)) {
+    if (v.is_null()) continue;
+    const std::string& s =
+        v.is_string() ? v.as_string() : (rendered = v.ToString());
+    const uint64_t hash = Fnv1a64(s);
+    if (values->distinct.Intern(s, hash) != values->hashes.size()) continue;
+    values->hashes.push_back(hash);
+    ++sketch.format_histogram[FormatPattern(s)];
+    if (v.is_numeric() &&
+        sketch.numeric_values.size() < options.numeric_sample_cap) {
+      sketch.numeric_values.push_back(v.as_double());
+    }
+  }
+  sketch.minhash = minhasher.ComputeFromHashes(values->hashes);
+
+  // Embed a capped prefix of the distinct values (textual columns only —
+  // embeddings of numbers carry no semantics).
+  if (sketch.type == table::DataType::kString) {
+    std::vector<std::string> tokens;
+    for (uint32_t i = 0; i < values->distinct.size(); ++i) {
+      if (tokens.size() >= options.embedding_token_cap) break;
+      for (std::string& tok : text::Tokenize(values->distinct[i])) {
+        tokens.push_back(std::move(tok));
+      }
+    }
+    sketch.embedding = embedder.EmbedAll(tokens);
+  } else {
+    sketch.embedding.assign(options.embedding_dim, 0.0);
+  }
+  return sketch;
+}
+
+}  // namespace
 
 Corpus::Corpus(CorpusOptions options)
     : options_(options),
@@ -103,8 +162,6 @@ Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
     size_t begin = first_sketch + slots.size();
     for (size_t c = 0; c < tables_.back().num_columns(); ++c) {
       slots.push_back(Slot{table_idx, c});
-      ColumnId id{static_cast<uint32_t>(table_idx), static_cast<uint32_t>(c)};
-      sketch_index_[id.Packed()] = first_sketch + slots.size() - 1;
     }
     sketch_range_.emplace_back(begin, first_sketch + slots.size());
   }
@@ -113,6 +170,7 @@ Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
   // Parallel sketch building: each task writes exactly one pre-sized slot,
   // and BuildSketch reads only const state (tables_, minhasher_, embedder_),
   // so the result does not depend on the pool's size.
+  std::vector<ColumnValues> values(slots.size());
   ParallelOptions par;
   par.pool = pool;
   LAKEKIT_RETURN_IF_ERROR(ParallelFor(
@@ -122,62 +180,34 @@ Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
         ColumnId id{static_cast<uint32_t>(slot.table_idx),
                     static_cast<uint32_t>(slot.col)};
         sketches_[first_sketch + i] =
-            BuildSketch(id, tables_[slot.table_idx], slot.col);
+            BuildSketch(id, tables_[slot.table_idx], slot.col, options_,
+                        minhasher_, embedder_, &values[i]);
+        return Status::OK();
+      },
+      par));
+
+  // Serial interning in slot order, each column in first-seen order, so ids
+  // follow (table, column, row) whatever the pool or the batching; the
+  // hashes come from the parallel pass, and the table grows once.
+  size_t incoming = 0;
+  for (const ColumnValues& column : values) incoming += column.hashes.size();
+  dictionary_.Reserve(incoming);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    sketches_[first_sketch + i].distinct_values =
+        dictionary_.InternAll(values[i].distinct, values[i].hashes);
+  }
+  // The column values are freed here, in parallel, by the pool.
+  LAKEKIT_RETURN_IF_ERROR(ParallelFor(
+      first_sketch, sketches_.size(),
+      [&](size_t i) -> Status {
+        values[i - first_sketch] = ColumnValues();
+        ColumnSketch& s = sketches_[i];
+        s.sorted_values = s.distinct_values;
+        std::sort(s.sorted_values.begin(), s.sorted_values.end());
         return Status::OK();
       },
       par));
   return indexes;
-}
-
-ColumnSketch Corpus::BuildSketch(ColumnId id, const table::Table& t,
-                                 size_t col) {
-  ColumnSketch sketch;
-  sketch.id = id;
-  sketch.table_name = t.name();
-  sketch.column_name = t.schema().field(col).name;
-  sketch.type = t.schema().field(col).type;
-  sketch.name_tokens = text::Tokenize(sketch.column_name);
-  sketch.profile =
-      ingest::Profiler::ProfileColumn(sketch.column_name, t.column(col));
-
-  // Distinct values + set + format histogram + numeric sample. This is the
-  // innermost loop of ingestion: pre-size both containers from the column
-  // size and move each rendered value straight into the set (the vector
-  // takes its one copy from the set node) instead of the old
-  // render-insert-copy pattern.
-  const std::vector<table::Value>& values = t.column(col);
-  sketch.distinct_values.reserve(values.size());
-  sketch.value_set.reserve(values.size());
-  for (const table::Value& v : values) {
-    if (v.is_null()) continue;
-    auto [it, inserted] = sketch.value_set.insert(v.ToString());
-    if (inserted) {
-      const std::string& s = *it;
-      sketch.distinct_values.push_back(s);
-      ++sketch.format_histogram[FormatPattern(s)];
-      if (v.is_numeric() &&
-          sketch.numeric_values.size() < options_.numeric_sample_cap) {
-        sketch.numeric_values.push_back(v.as_double());
-      }
-    }
-  }
-  sketch.minhash = minhasher_.Compute(sketch.distinct_values);
-
-  // Embed a capped prefix of the distinct values (textual columns only —
-  // embeddings of numbers carry no semantics).
-  if (sketch.type == table::DataType::kString) {
-    std::vector<std::string> tokens;
-    for (const std::string& v : sketch.distinct_values) {
-      if (tokens.size() >= options_.embedding_token_cap) break;
-      for (const std::string& tok : text::Tokenize(v)) {
-        tokens.push_back(tok);
-      }
-    }
-    sketch.embedding = embedder_.EmbedAll(tokens);
-  } else {
-    sketch.embedding.assign(options_.embedding_dim, 0.0);
-  }
-  return sketch;
 }
 
 Result<size_t> Corpus::TableIndex(std::string_view name) const {
@@ -187,10 +217,6 @@ Result<size_t> Corpus::TableIndex(std::string_view name) const {
                             "' in corpus");
   }
   return it->second;
-}
-
-const ColumnSketch& Corpus::sketch(ColumnId id) const {
-  return sketches_[sketch_index_.at(id.Packed())];
 }
 
 std::vector<const ColumnSketch*> Corpus::TableSketches(

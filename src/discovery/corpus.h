@@ -3,16 +3,15 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "ingest/profiler.h"
 #include "table/table.h"
+#include "text/dictionary.h"
 #include "text/embedding.h"
 #include "text/minhash.h"
 
@@ -46,17 +45,19 @@ struct ColumnSketch {
   std::string column_name;
   table::DataType type = table::DataType::kString;
 
-  /// Distinct non-null values rendered as strings (the "set" view used by
-  /// JOSIE's overlap search and exact Jaccard).
-  std::vector<std::string> distinct_values;
-  /// Same values as a hash set for O(1) exact intersection.
-  std::unordered_set<std::string> value_set;
+  /// Distinct non-null values rendered as strings, as `Corpus::dictionary()`
+  /// ids in first-seen row order (PEXESO reads a prefix of this order).
+  std::vector<uint32_t> distinct_values;
+  /// The same ids ascending, for the exact set measures and JOSIE's index.
+  std::vector<uint32_t> sorted_values;
   /// MinHash signature of the value set (Aurum, D3L).
   text::MinHashSignature minhash;
   /// Skluma/Aurum profile: cardinality, distribution stats, key-ness.
   ingest::ColumnProfile profile;
   /// Lowercased attribute-name tokens (schema signal).
   std::vector<std::string> name_tokens;
+  /// Packed name 3-grams (`text::NameGrams`): union search, D3L, Juneau.
+  std::vector<uint32_t> name_grams;
   /// Histogram of value format patterns: each value maps to a class string
   /// (digits->'d', letters->'a', other kept); pattern -> count (D3L's
   /// "data value representation pattern" signal).
@@ -113,7 +114,9 @@ class Corpus {
   /// the corpus options, and results are written to pre-sized slots, so
   /// sketch order and every signature/embedding are bit-identical however
   /// the tables are batched — one call or one per table — and whatever the
-  /// pool's size.
+  /// pool's size. Dictionary ids follow the first appearance of each value
+  /// over (table, column, row), assigned by one serial pass after the
+  /// parallel one, so they are bit-identical under the same conditions.
   ///
   /// Fails without side effects if any name is a duplicate (within the batch
   /// or against already-ingested tables). Not safe to call concurrently with
@@ -128,7 +131,9 @@ class Corpus {
   Result<size_t> TableIndex(std::string_view name) const;
 
   /// Sketch of a column by id.
-  const ColumnSketch& sketch(ColumnId id) const;
+  const ColumnSketch& sketch(ColumnId id) const {
+    return sketches_[sketch_range_[id.table_idx].first + id.col_idx];
+  }
   /// All sketches, iteration order = insertion order.
   const std::vector<ColumnSketch>& sketches() const { return sketches_; }
   /// Sketches belonging to one table: O(columns of that table), served from
@@ -139,6 +144,8 @@ class Corpus {
   Result<ColumnId> FindColumn(std::string_view table,
                               std::string_view column) const;
 
+  /// Every distinct value of every column, interned once.
+  const text::StringDictionary& dictionary() const { return dictionary_; }
   const text::MinHasher& minhasher() const { return minhasher_; }
   const text::EmbeddingModel& embedder() const { return embedder_; }
   const CorpusOptions& options() const { return options_; }
@@ -149,14 +156,12 @@ class Corpus {
                               const std::vector<std::string>& tokens);
 
  private:
-  ColumnSketch BuildSketch(ColumnId id, const table::Table& t, size_t col);
-
   CorpusOptions options_;
   text::MinHasher minhasher_;
   text::EmbeddingModel embedder_;
+  text::StringDictionary dictionary_;
   std::vector<table::Table> tables_;
   std::vector<ColumnSketch> sketches_;
-  std::map<uint64_t, size_t> sketch_index_;  // packed id -> sketches_ index
   /// [begin, end) into sketches_ per table (columns are contiguous).
   std::vector<std::pair<size_t, size_t>> sketch_range_;
   std::map<std::string, size_t, std::less<>> table_index_;

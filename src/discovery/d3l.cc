@@ -58,8 +58,7 @@ D3lFeatures D3lFinder::ComputeFeatures(ColumnId a, ColumnId b) const {
   D3lFeatures f;
 
   // i) attribute-name similarity: Jaccard of name q-grams.
-  f.name = text::JaccardSimilarity(text::QGrams(sa.column_name, 3),
-                                   text::QGrams(sb.column_name, 3));
+  f.name = text::GramJaccard(sa.name_grams, sb.name_grams);
 
   // ii) instance-value overlap: MinHash Jaccard estimate.
   f.values = sa.minhash.EstimateJaccard(sb.minhash);

@@ -1,114 +1,77 @@
 #include "discovery/josie.h"
 
-#include <algorithm>
-#include <queue>
-
 namespace lakekit::discovery {
 
 void JosieFinder::Build() {
-  postings_.clear();
-  for (const ColumnSketch& s : corpus_->sketches()) {
-    for (const std::string& v : s.distinct_values) {
-      postings_[v].push_back(s.id.Packed());
+  const std::vector<ColumnSketch>& sketches = corpus_->sketches();
+  // Counting pass: offsets_[v + 1] = columns holding v, then prefix sums
+  // turn counts into list starts.
+  offsets_.assign(corpus_->dictionary().size() + 1, 0);
+  for (const ColumnSketch& s : sketches) {
+    for (uint32_t v : s.sorted_values) ++offsets_[v + 1];
+  }
+  for (size_t v = 1; v < offsets_.size(); ++v) offsets_[v] += offsets_[v - 1];
+  // Fill pass, columns ascending, with offsets_[v] as v's write cursor: it
+  // ends at v's end, which one shift turns back into the starts.
+  columns_.resize(offsets_.back());
+  for (size_t i = 0; i < sketches.size(); ++i) {
+    for (uint32_t v : sketches[i].sorted_values) {
+      columns_[offsets_[v]++] = static_cast<uint32_t>(i);
     }
   }
+  for (size_t v = offsets_.size() - 1; v > 0; --v) {
+    offsets_[v] = offsets_[v - 1];
+  }
+  offsets_[0] = 0;
   built_ = true;
 }
 
-std::vector<ColumnMatch> JosieFinder::TopKOverlapForValues(
-    const std::vector<std::string>& values, size_t k,
+std::vector<ColumnMatch> JosieFinder::TopK(
+    const std::vector<uint32_t>& ids, size_t k,
     std::optional<uint32_t> exclude_table) const {
+  const std::vector<ColumnSketch>& sketches = corpus_->sketches();
+  std::vector<uint32_t> counts(sketches.size(), 0);
   last_query_postings_scanned_ = 0;
-
-  // Collect the posting lists of the query's tokens, rare-first: short lists
-  // contribute few counts but the *position* in this order drives the
-  // early-termination bound below.
-  std::vector<const std::vector<uint64_t>*> lists;
-  lists.reserve(values.size());
-  for (const std::string& v : values) {
-    auto it = postings_.find(v);
-    if (it != postings_.end()) lists.push_back(&it->second);
+  for (uint32_t v : ids) {
+    if (static_cast<size_t>(v) + 1 >= offsets_.size()) continue;  // unindexed
+    last_query_postings_scanned_ += offsets_[v + 1] - offsets_[v];
+    for (uint64_t p = offsets_[v]; p < offsets_[v + 1]; ++p) {
+      ++counts[columns_[p]];
+    }
   }
-  std::sort(lists.begin(), lists.end(),
-            [](const auto* a, const auto* b) { return a->size() < b->size(); });
-
-  std::unordered_map<uint64_t, size_t> counts;
   std::vector<ColumnMatch> matches;
-  size_t remaining = lists.size();
-  // kth_best tracks the current k-th overlap lower bound among candidates.
-  auto kth_best = [&]() -> size_t {
-    if (counts.size() < k) return 0;
-    // Maintain lazily: compute on demand from counts (k is small).
-    std::vector<size_t> top;
-    top.reserve(counts.size());
-    for (const auto& [id, c] : counts) top.push_back(c);
-    std::nth_element(top.begin(), top.begin() + static_cast<ptrdiff_t>(k - 1),
-                     top.end(), std::greater<size_t>());
-    return top[k - 1];
-  };
-
-  size_t check_interval = 64;  // Recompute the bound periodically, not per token.
-  size_t processed = 0;
-  for (const auto* list : lists) {
-    // Early termination: a candidate not yet seen can reach at most
-    // `remaining` more overlap. Once the k-th best candidate already has
-    // more than `remaining`, unseen candidates cannot enter the top-k AND
-    // the *relative order* of the current top-k can still change, so we only
-    // stop growing the candidate set — we must keep counting for candidates
-    // we already track. For exactness we keep scanning but skip inserting
-    // new candidates.
-    bool allow_new = counts.size() < k || kth_best() <= remaining;
-    for (uint64_t packed : *list) {
-      ++last_query_postings_scanned_;
-      if (exclude_table &&
-          ColumnId::FromPacked(packed).table_idx == *exclude_table) {
-        continue;
-      }
-      auto it = counts.find(packed);
-      if (it != counts.end()) {
-        ++it->second;
-      } else if (allow_new) {
-        counts.emplace(packed, 1);
-      }
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0 ||
+        (exclude_table && sketches[i].id.table_idx == *exclude_table)) {
+      continue;
     }
-    --remaining;
-    if (++processed % check_interval == 0 && counts.size() > 4 * k) {
-      // Prune candidates that can no longer reach the top-k.
-      size_t bound = kth_best();
-      if (bound > remaining) {
-        for (auto it = counts.begin(); it != counts.end();) {
-          if (it->second + remaining < bound) {
-            it = counts.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-  }
-  matches.reserve(counts.size());
-  for (const auto& [packed, count] : counts) {
-    matches.push_back(ColumnMatch{ColumnId::FromPacked(packed),
-                                  static_cast<double>(count)});
+    matches.push_back(
+        ColumnMatch{sketches[i].id, static_cast<double>(counts[i])});
   }
   SortAndTruncate(&matches, k);
   return matches;
 }
 
+std::vector<ColumnMatch> JosieFinder::TopKOverlapForValues(
+    const std::vector<std::string>& values, size_t k,
+    std::optional<uint32_t> exclude_table) const {
+  std::vector<uint32_t> ids;
+  for (const std::string& v : values) {
+    if (auto id = corpus_->dictionary().Find(v)) ids.push_back(*id);
+  }
+  return TopK(ids, k, exclude_table);
+}
+
 std::vector<ColumnMatch> JosieFinder::TopKOverlapColumns(ColumnId query,
                                                          size_t k) const {
-  const ColumnSketch& q = corpus_->sketch(query);
-  return TopKOverlapForValues(q.distinct_values, k, query.table_idx);
+  return TopK(corpus_->sketch(query).sorted_values, k, query.table_idx);
 }
 
 std::vector<TableMatch> JosieFinder::TopKJoinableTables(size_t table_idx,
                                                         size_t k) const {
   std::vector<ColumnMatch> all;
   for (const ColumnSketch* s : corpus_->TableSketches(table_idx)) {
-    for (const ColumnMatch& m :
-         TopKOverlapColumns(s->id, k)) {
-      all.push_back(m);
-    }
+    for (const ColumnMatch& m : TopKOverlapColumns(s->id, k)) all.push_back(m);
   }
   return AggregateToTables(*corpus_, all, k);
 }

@@ -1,9 +1,9 @@
 #ifndef LAKEKIT_DISCOVERY_JOSIE_H_
 #define LAKEKIT_DISCOVERY_JOSIE_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "discovery/common.h"
@@ -12,11 +12,10 @@ namespace lakekit::discovery {
 
 /// JOSIE (survey Sec. 6.2.1, Table 3): exact top-k overlap set similarity
 /// search for joinable-table discovery. Columns are sets of distinct
-/// values; the index is an inverted list token -> columns containing it.
-/// A query accumulates intersection counts over the posting lists of its
-/// values, processing rare tokens first and terminating early once the
-/// remaining tokens cannot lift any unseen candidate into the top-k — the
-/// cost-based pruning that makes JOSIE robust across data distributions.
+/// values; the index is an inverted list token -> columns containing it,
+/// over the corpus dictionary's integer ids (JOSIE's global tokens). A
+/// query reads the posting list of each of its values and counts, per
+/// column, the values it shares; the counts are exact intersection sizes.
 class JosieFinder {
  public:
   explicit JosieFinder(const Corpus* corpus) : corpus_(corpus) {}
@@ -44,12 +43,19 @@ class JosieFinder {
   }
 
   bool built() const { return built_; }
-  size_t index_size() const { return postings_.size(); }
+  size_t index_size() const { return built_ ? offsets_.size() - 1 : 0; }
 
  private:
+  /// Top-k columns by how many of the dictionary ids `ids` they hold.
+  std::vector<ColumnMatch> TopK(const std::vector<uint32_t>& ids, size_t k,
+                                std::optional<uint32_t> exclude_table) const;
+
   const Corpus* corpus_;
-  /// token -> packed ColumnIds containing it.
-  std::unordered_map<std::string, std::vector<uint64_t>> postings_;
+  /// Posting lists in one CSR layout: the columns holding token v are
+  /// columns_[offsets_[v], offsets_[v + 1]), as ascending indexes into the
+  /// corpus's sketches.
+  std::vector<uint64_t> offsets_;
+  std::vector<uint32_t> columns_;
   bool built_ = false;
   mutable size_t last_query_postings_scanned_ = 0;
 };

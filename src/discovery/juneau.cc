@@ -43,8 +43,7 @@ JuneauSignals JuneauFinder::ComputeSignals(size_t query_table,
     size_t best_idx = cs.size();
     for (size_t i = 0; i < cs.size(); ++i) {
       if (candidate_matched[i]) continue;
-      double name = text::JaccardSimilarity(text::QGrams(q->column_name, 3),
-                                            text::QGrams(cs[i]->column_name, 3));
+      double name = text::GramJaccard(q->name_grams, cs[i]->name_grams);
       if (name > best_name) {
         best_name = name;
         best_idx = i;

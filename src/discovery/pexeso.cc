@@ -28,11 +28,11 @@ void PexesoFinder::Build() {
   for (const ColumnSketch& s : corpus_->sketches()) {
     if (!s.is_textual()) continue;
     size_t count = 0;
-    for (const std::string& value : s.distinct_values) {
+    for (uint32_t value : s.distinct_values) {
       if (count++ >= options_.value_cap) break;
       Entry e;
       e.column_packed = s.id.Packed();
-      e.vector = corpus_->embedder().Embed(value);
+      e.vector = corpus_->embedder().Embed(corpus_->dictionary()[value]);
       uint64_t bucket = BucketOf(e.vector);
       buckets_[bucket].push_back(entries_.size());
       entries_.push_back(std::move(e));
@@ -81,9 +81,10 @@ std::vector<ColumnMatch> PexesoFinder::TopKSemanticJoinableColumns(
   // vector; accumulate per-column matched-value counts.
   std::unordered_map<uint64_t, size_t> matched_counts;
   size_t considered = 0;
-  for (const std::string& value : q.distinct_values) {
+  for (uint32_t value : q.distinct_values) {
     if (considered++ >= options_.value_cap) break;
-    text::DenseVector qv = corpus_->embedder().Embed(value);
+    text::DenseVector qv =
+        corpus_->embedder().Embed(corpus_->dictionary()[value]);
     std::unordered_set<uint64_t> columns_with_match;
     for (size_t entry_idx : Probe(qv)) {
       const Entry& e = entries_[entry_idx];

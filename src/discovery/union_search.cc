@@ -10,14 +10,12 @@ namespace lakekit::discovery {
 UnionSearch::UnionSearch(const Corpus* corpus, UnionSearchOptions options)
     : corpus_(corpus), options_(options) {}
 
-double UnionSearch::AttributeUnionability(ColumnId a, ColumnId b) const {
-  const ColumnSketch& sa = corpus_->sketch(a);
-  const ColumnSketch& sb = corpus_->sketch(b);
+double UnionSearch::AttributeUnionability(const ColumnSketch& sa,
+                                          const ColumnSketch& sb) const {
   // Different data types are weak evidence against unionability, but name
   // match can still carry (int64 vs double ids): type mismatch halves the
   // value signal rather than zeroing the pair.
-  double name = text::JaccardSimilarity(text::QGrams(sa.column_name, 3),
-                                        text::QGrams(sb.column_name, 3));
+  double name = text::GramJaccard(sa.name_grams, sb.name_grams);
   double values = sa.minhash.EstimateJaccard(sb.minhash);
   double embedding =
       std::max(0.0, text::CosineSimilarity(sa.embedding, sb.embedding));
@@ -43,7 +41,7 @@ std::vector<AttributeAlignment> UnionSearch::AlignTables(
   std::vector<Scored> pairs;
   for (size_t i = 0; i < qs.size(); ++i) {
     for (size_t j = 0; j < cs.size(); ++j) {
-      double score = AttributeUnionability(qs[i]->id, cs[j]->id);
+      double score = AttributeUnionability(*qs[i], *cs[j]);
       if (score >= options_.attribute_threshold) {
         pairs.push_back(Scored{i, j, score});
       }
@@ -68,14 +66,14 @@ std::vector<AttributeAlignment> UnionSearch::AlignTables(
 std::vector<UnionMatch> UnionSearch::TopKUnionableTables(size_t query_table,
                                                          size_t k) const {
   std::vector<UnionMatch> out;
+  const double query_cols =
+      static_cast<double>(corpus_->TableSketches(query_table).size());
   for (size_t t = 0; t < corpus_->num_tables(); ++t) {
     if (t == query_table) continue;
     std::vector<AttributeAlignment> alignment = AlignTables(query_table, t);
     if (alignment.empty()) continue;
     double sum = 0;
     for (const AttributeAlignment& a : alignment) sum += a.score;
-    const double query_cols =
-        static_cast<double>(corpus_->TableSketches(query_table).size());
     double score = (sum / static_cast<double>(alignment.size())) *
                    (static_cast<double>(alignment.size()) / query_cols);
     UnionMatch match;

@@ -36,7 +36,8 @@ struct UnionMatch {
 /// and 6.2 as the unionability counterpart of join discovery): two tables
 /// are unionable when their attributes can be aligned so that aligned
 /// attributes draw from the same domain. Attribute unionability blends a
-/// name signal (q-gram Jaccard), a value-domain signal (MinHash Jaccard)
+/// name signal (3-gram Jaccard over the sketches' precomputed name grams),
+/// a value-domain signal (MinHash Jaccard)
 /// and a semantic signal (embedding cosine); table unionability is the mean
 /// aligned-attribute score scaled by alignment coverage.
 class UnionSearch {
@@ -44,7 +45,8 @@ class UnionSearch {
   UnionSearch(const Corpus* corpus, UnionSearchOptions options = {});
 
   /// Unionability of one attribute pair in [0,1].
-  double AttributeUnionability(ColumnId a, ColumnId b) const;
+  double AttributeUnionability(const ColumnSketch& a,
+                               const ColumnSketch& b) const;
 
   /// Greedy best-first alignment between the columns of two tables; pairs
   /// below attribute_threshold are left unaligned.

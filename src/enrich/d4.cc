@@ -15,7 +15,7 @@ std::vector<Domain> D4DomainDiscovery::Discover(
   std::vector<const discovery::ColumnSketch*> columns;
   for (const discovery::ColumnSketch& s : corpus.sketches()) {
     if (s.is_textual() &&
-        s.distinct_values.size() >= options_.min_column_terms) {
+        s.sorted_values.size() >= options_.min_column_terms) {
       columns.push_back(&s);
     }
   }
@@ -48,19 +48,17 @@ std::vector<Domain> D4DomainDiscovery::Discover(
   for (auto& [root, members] : clusters) {
     Domain d;
     d.id = domains.size();
-    std::unordered_map<std::string, size_t> term_support;
+    std::unordered_map<uint32_t, size_t> term_support;
     for (size_t m : members) {
       d.columns.push_back(columns[m]->id);
-      for (const std::string& term : columns[m]->distinct_values) {
-        ++term_support[term];
-      }
+      for (uint32_t term : columns[m]->sorted_values) ++term_support[term];
     }
     const double min_support = std::max(
         1.0, options_.term_support_fraction *
                  static_cast<double>(members.size()));
     for (const auto& [term, support] : term_support) {
       if (static_cast<double>(support) >= min_support) {
-        d.terms.push_back(term);
+        d.terms.emplace_back(corpus.dictionary()[term]);
       }
     }
     std::sort(d.terms.begin(), d.terms.end());

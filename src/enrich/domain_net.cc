@@ -15,8 +15,9 @@ void DomainNet::Build(const discovery::Corpus& corpus) {
   for (const discovery::ColumnSketch& s : corpus.sketches()) {
     if (!s.is_textual()) continue;
     attribute_ids.push_back(s.id.Packed());
-    for (const std::string& v : s.distinct_values) {
-      attributes_of_value_[v].push_back(s.id.Packed());
+    for (uint32_t v : s.sorted_values) {
+      attributes_of_value_[std::string(corpus.dictionary()[v])].push_back(
+          s.id.Packed());
     }
   }
 

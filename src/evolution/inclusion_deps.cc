@@ -40,13 +40,33 @@ std::vector<InclusionDependency> DiscoverInclusionDependencies(
     const std::vector<table::Table>& tables, const IndOptions& options) {
   std::vector<InclusionDependency> out;
 
-  // Distinct counts for the min_distinct filter.
-  auto distinct_count = [](const table::Table& t, size_t col) {
-    std::unordered_set<std::string> values;
-    for (const table::Value& v : t.column(col)) {
-      if (!v.is_null()) values.insert(v.ToString());
+  // Each column's rendered keys, built once: every unary check reads them,
+  // and their count less the NULL key is the column's distinct count for
+  // the min_distinct filter (a rendered key is injective on the rendering).
+  struct ColumnKeys {
+    std::unordered_set<std::string> keys;
+    size_t distinct = 0;
+  };
+  std::vector<std::vector<ColumnKeys>> columns(tables.size());
+  for (size_t t = 0; t < tables.size(); ++t) {
+    columns[t].resize(tables[t].num_columns());
+    for (size_t c = 0; c < tables[t].num_columns(); ++c) {
+      ColumnKeys& col = columns[t][c];
+      for (size_t r = 0; r < tables[t].num_rows(); ++r) {
+        col.keys.insert(table::RenderedRowKey(tables[t], {c}, r));
+      }
+      col.distinct = col.keys.size() - col.keys.count(std::string(1, '\0'));
     }
-    return values.size();
+  }
+  // HoldsInclusion on one column each, over the prebuilt key sets.
+  auto holds = [&](size_t a, size_t ca, size_t b, size_t cb) {
+    const std::unordered_set<std::string>& dep = columns[a][ca].keys;
+    const std::unordered_set<std::string>& ref = columns[b][cb].keys;
+    if (tables[a].num_rows() == 0 || dep.size() > ref.size()) return false;
+    for (const std::string& key : dep) {
+      if (ref.count(key) == 0) return false;
+    }
+    return true;
   };
 
   // Unary INDs between all cross-table column pairs.
@@ -61,10 +81,10 @@ std::vector<InclusionDependency> DiscoverInclusionDependencies(
     for (size_t b = 0; b < tables.size(); ++b) {
       if (a == b) continue;
       for (size_t ca = 0; ca < tables[a].num_columns(); ++ca) {
-        if (distinct_count(tables[a], ca) < options.min_distinct) continue;
+        if (columns[a][ca].distinct < options.min_distinct) continue;
         for (size_t cb = 0; cb < tables[b].num_columns(); ++cb) {
-          if (distinct_count(tables[b], cb) < options.min_distinct) continue;
-          if (HoldsInclusion(tables[a], {ca}, tables[b], {cb})) {
+          if (columns[b][cb].distinct < options.min_distinct) continue;
+          if (holds(a, ca, b, cb)) {
             unary.push_back(Unary{a, ca, b, cb});
             out.push_back(InclusionDependency{
                 tables[a].name(),

@@ -17,8 +17,8 @@ double SchemaMatcher::ColumnSimilarity(const table::Table& left,
   const table::Field& lf = left.schema().field(left_col);
   const table::Field& rf = right.schema().field(right_col);
 
-  double name = text::JaccardSimilarity(text::QGrams(lf.name, 3),
-                                        text::QGrams(rf.name, 3));
+  double name =
+      text::GramJaccard(text::NameGrams(lf.name), text::NameGrams(rf.name));
 
   // Instance signal: Jaccard over sampled distinct values.
   auto sample_values = [&](const table::Table& t, size_t col) {

@@ -20,8 +20,10 @@ double RoninExplorer::KeywordScore(
   std::unordered_set<std::string> pool;
   for (const discovery::ColumnSketch* s : corpus_->TableSketches(table_idx)) {
     for (const std::string& t : s->name_tokens) pool.insert(t);
-    for (const std::string& v : s->distinct_values) {
-      for (const std::string& t : text::Tokenize(v)) pool.insert(t);
+    for (uint32_t v : s->sorted_values) {
+      for (std::string& t : text::Tokenize(corpus_->dictionary()[v])) {
+        pool.insert(std::move(t));
+      }
     }
   }
   size_t hits = 0;

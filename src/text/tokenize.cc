@@ -1,7 +1,7 @@
 #include "text/tokenize.h"
 
+#include <algorithm>
 #include <cctype>
-#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -38,17 +38,58 @@ std::vector<std::string> QGrams(std::string_view input, size_t q) {
   return grams;
 }
 
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  std::unordered_set<std::string> sa(a.begin(), a.end());
-  std::unordered_set<std::string> sb(b.begin(), b.end());
-  size_t inter = 0;
-  for (const auto& t : sa) {
-    if (sb.count(t) > 0) ++inter;
+std::vector<uint32_t> NameGrams(std::string_view input) {
+  const std::string padded = "$$" + ToLower(input) + "$$";
+  std::vector<uint32_t> grams;
+  grams.reserve(padded.size() - 2);
+  for (size_t i = 0; i + 3 <= padded.size(); ++i) {
+    const auto byte = [&](size_t k) {
+      return static_cast<uint32_t>(static_cast<unsigned char>(padded[i + k]));
+    };
+    grams.push_back(byte(0) << 16 | byte(1) << 8 | byte(2));
   }
-  size_t uni = sa.size() + sb.size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
+  std::sort(grams.begin(), grams.end());
+  grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
+  return grams;
+}
+
+size_t SortedOverlap(const std::vector<uint32_t>& a,
+                     const std::vector<uint32_t>& b) {
+  const std::vector<uint32_t>& small = a.size() <= b.size() ? a : b;
+  const std::vector<uint32_t>& large = a.size() <= b.size() ? b : a;
+  size_t overlap = 0;
+  auto it = large.begin();
+  // Far apart in size, binary-search each element of the smaller side in
+  // what is left of the larger one; otherwise merge.
+  if (small.size() * 16 < large.size()) {
+    for (uint32_t v : small) {
+      it = std::lower_bound(it, large.end(), v);
+      if (it == large.end()) break;
+      if (*it == v) ++overlap;
+    }
+    return overlap;
+  }
+  auto jt = small.begin();
+  while (it != large.end() && jt != small.end()) {
+    if (*it < *jt) {
+      ++it;
+    } else if (*jt < *it) {
+      ++jt;
+    } else {
+      ++overlap;
+      ++it;
+      ++jt;
+    }
+  }
+  return overlap;
+}
+
+double GramJaccard(const std::vector<uint32_t>& a,
+                   const std::vector<uint32_t>& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  const size_t inter = SortedOverlap(a, b);
+  const size_t uni = a.size() + b.size() - inter;
+  return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 }  // namespace lakekit::text

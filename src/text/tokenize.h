@@ -1,6 +1,7 @@
 #ifndef LAKEKIT_TEXT_TOKENIZE_H_
 #define LAKEKIT_TEXT_TOKENIZE_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,9 +18,19 @@ std::vector<std::string> Tokenize(std::string_view input);
 /// form makes short-string similarity better behaved.
 std::vector<std::string> QGrams(std::string_view input, size_t q);
 
-/// Jaccard similarity of two token multisets treated as sets.
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b);
+/// The distinct grams of `QGrams(input, 3)`, each packed into a uint32_t
+/// (its three bytes, first byte highest), ascending. The set is the same, so
+/// `GramJaccard` over two of these equals the Jaccard of the string grams
+/// bit for bit; column sketches store it so a name comparison is one merge.
+std::vector<uint32_t> NameGrams(std::string_view input);
+
+/// |a ∩ b| of two ascending, duplicate-free vectors.
+size_t SortedOverlap(const std::vector<uint32_t>& a,
+                     const std::vector<uint32_t>& b);
+
+/// Jaccard similarity of two `NameGrams` sets; 1 when both are empty.
+double GramJaccard(const std::vector<uint32_t>& a,
+                   const std::vector<uint32_t>& b);
 
 }  // namespace lakekit::text
 

@@ -4,6 +4,7 @@
 
 #include "catalog/catalog.h"
 #include "json/parser.h"
+#include "json/writer.h"
 
 namespace lakekit::catalog {
 namespace {
@@ -174,6 +175,76 @@ TEST_F(CatalogTest, FindByTagAndOwner) {
   EXPECT_EQ(catalog->FindByOwner("bob").size(), 1u);
   EXPECT_EQ(catalog->FindByTag("special").size(), 1u);
   EXPECT_EQ(catalog->FindByTag("test").size(), 2u);
+}
+
+/// An answer as its serialized entries, so two catalogs compare exactly.
+std::vector<std::string> Serialized(const std::vector<DatasetEntry>& entries) {
+  std::vector<std::string> out;
+  for (const DatasetEntry& e : entries) out.push_back(json::Write(e.ToJson()));
+  return out;
+}
+
+// The in-memory entries are what the store holds: after a mix of
+// registrations, updates, removals and a refused duplicate, a catalog
+// reopened from disk answers every read exactly as the live one does.
+TEST_F(CatalogTest, ReopenedCatalogAnswersLikeTheLiveOne) {
+  auto live = Catalog::Open(dir_);
+  ASSERT_TRUE(live.ok());
+  for (const char* name : {"flights", "patients", "serverlog", "zebra"}) {
+    ASSERT_TRUE(live->Register(MakeEntry(name)).ok());
+  }
+  DatasetEntry log = MakeEntry("serverlog");
+  log.owner = "bob";
+  log.tags = {"ops", "Logs"};
+  log.content = *json::Parse(R"({"keywords":["Timeout","shard"],"n":1.5})");
+  ASSERT_TRUE(live->Update(log).ok());
+  DatasetEntry dup = MakeEntry("flights");
+  dup.description = "must not replace the first registration";
+  EXPECT_TRUE(live->Register(dup).IsAlreadyExists());
+  ASSERT_TRUE(live->Remove("zebra").ok());
+  DatasetEntry again = MakeEntry("zebra");
+  again.owner = "cy";
+  ASSERT_TRUE(live->Register(again).ok());
+  ASSERT_TRUE(live->Remove("patients").ok());
+
+  auto reopened = Catalog::Open(dir_);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened->ListDatasets(), live->ListDatasets());
+  EXPECT_EQ(live->ListDatasets(),
+            (std::vector<std::string>{"flights", "serverlog", "zebra"}));
+  EXPECT_EQ(reopened->num_datasets(), live->num_datasets());
+  for (const char* name : {"flights", "patients", "serverlog", "zebra", "x"}) {
+    SCOPED_TRACE(name);
+    Result<DatasetEntry> a = live->Get(name);
+    Result<DatasetEntry> b = reopened->Get(name);
+    ASSERT_EQ(a.ok(), b.ok());
+    if (a.ok()) {
+      EXPECT_EQ(json::Write(a->ToJson()), json::Write(b->ToJson()));
+    } else {
+      EXPECT_TRUE(a.status().IsNotFound());
+      EXPECT_TRUE(b.status().IsNotFound());
+    }
+  }
+  EXPECT_EQ(live->Get("flights")->description, "test dataset about flights");
+  // Needles inside one field, across the separator between two, in
+  // content keywords, in tags, and nowhere.
+  for (const char* keyword :
+       {"FLIGHTS", "dataset about", "flights test", "timeout", "logs", "ops",
+        "int64", "", "nothing-like-this"}) {
+    SCOPED_TRACE(keyword);
+    EXPECT_EQ(Serialized(reopened->Search(keyword)),
+              Serialized(live->Search(keyword)));
+  }
+  EXPECT_EQ(live->Search("timeout").size(), 1u);
+  for (const char* tag : {"test", "ops", "Logs", "logs", "zebra"}) {
+    EXPECT_EQ(Serialized(reopened->FindByTag(tag)),
+              Serialized(live->FindByTag(tag)));
+  }
+  for (const char* owner : {"ada", "bob", "cy", "nobody"}) {
+    EXPECT_EQ(Serialized(reopened->FindByOwner(owner)),
+              Serialized(live->FindByOwner(owner)));
+  }
+  EXPECT_EQ(live->FindByOwner("ada").size(), 1u);
 }
 
 TEST_F(CatalogTest, JsonRoundTripPreservesAllCategories) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "discovery/aurum.h"
 #include "discovery/brute_force.h"
@@ -11,7 +13,10 @@
 #include "discovery/josie.h"
 #include "discovery/pexeso.h"
 #include "discovery/union_search.h"
+#include "text/embedding.h"
 #include "workload/generator.h"
+
+#include "name_gram_oracle.h"
 
 namespace lakekit::discovery {
 namespace {
@@ -276,8 +281,10 @@ TEST_F(JosieTest, AdHocValueQuery) {
   // Query with a subset of the target's values.
   // The first distinct values are the pair's *shared* values, so both
   // planted columns legitimately contain all of them (a tie at 20).
-  std::vector<std::string> values(target.distinct_values.begin(),
-                                  target.distinct_values.begin() + 20);
+  std::vector<std::string> values;
+  for (size_t i = 0; i < 20; ++i) {
+    values.emplace_back(corpus_->dictionary()[target.distinct_values[i]]);
+  }
   auto matches = finder_->TopKOverlapForValues(values, 2);
   ASSERT_EQ(matches.size(), 2u);
   bool target_found = false;
@@ -516,8 +523,10 @@ TEST(UnionSearchTest, AttributeUnionabilityOrdering) {
   ColumnId same_group = *corpus.FindColumn(lake.tables[1].name(), "g0_field0");
   ColumnId other_group =
       *corpus.FindColumn(lake.tables[2].name(), "g1_field0");
-  EXPECT_GT(search.AttributeUnionability(a, same_group),
-            search.AttributeUnionability(a, other_group));
+  EXPECT_GT(search.AttributeUnionability(corpus.sketch(a),
+                                         corpus.sketch(same_group)),
+            search.AttributeUnionability(corpus.sketch(a),
+                                         corpus.sketch(other_group)));
 }
 
 TEST(UnionSearchTest, AlignmentIsOneToOne) {
@@ -537,12 +546,270 @@ TEST(UnionSearchTest, AlignmentIsOneToOne) {
   }
 }
 
+// ------------------------------------------------------ string oracles
+
+// Union search as it scored before sketches held packed name grams: the
+// name signal from string q-grams per attribute pair, everything else as
+// UnionSearch documents it. Kept as the oracle of the precomputed form.
+double OracleUnionability(const Corpus& corpus, ColumnId a, ColumnId b) {
+  const UnionSearchOptions options;
+  const ColumnSketch& sa = corpus.sketch(a);
+  const ColumnSketch& sb = corpus.sketch(b);
+  double name = oracle::StringGramJaccard(sa.column_name, sb.column_name);
+  double values = sa.minhash.EstimateJaccard(sb.minhash);
+  double embedding =
+      std::max(0.0, text::CosineSimilarity(sa.embedding, sb.embedding));
+  double score = options.name_weight * name + options.value_weight * values +
+                 options.embedding_weight * embedding;
+  if (sa.type != sb.type) score *= 0.5;
+  return score;
+}
+
+std::vector<UnionMatch> OracleTopKUnionable(const Corpus& corpus,
+                                            size_t query_table, size_t k) {
+  const UnionSearchOptions options;
+  std::vector<UnionMatch> out;
+  const std::vector<const ColumnSketch*> qs =
+      corpus.TableSketches(query_table);
+  for (size_t t = 0; t < corpus.num_tables(); ++t) {
+    if (t == query_table) continue;
+    const std::vector<const ColumnSketch*> cs = corpus.TableSketches(t);
+    struct Scored {
+      size_t qi;
+      size_t ci;
+      double score;
+    };
+    std::vector<Scored> pairs;
+    for (size_t i = 0; i < qs.size(); ++i) {
+      for (size_t j = 0; j < cs.size(); ++j) {
+        double score = OracleUnionability(corpus, qs[i]->id, cs[j]->id);
+        if (score >= options.attribute_threshold) {
+          pairs.push_back(Scored{i, j, score});
+        }
+      }
+    }
+    std::sort(pairs.begin(), pairs.end(), [](const Scored& a, const Scored& b) {
+      return a.score > b.score;
+    });
+    std::vector<bool> q_used(qs.size(), false);
+    std::vector<bool> c_used(cs.size(), false);
+    UnionMatch match;
+    match.table_idx = t;
+    match.table_name = corpus.table(t).name();
+    double sum = 0;
+    for (const Scored& p : pairs) {
+      if (q_used[p.qi] || c_used[p.ci]) continue;
+      q_used[p.qi] = true;
+      c_used[p.ci] = true;
+      match.alignment.push_back(
+          AttributeAlignment{qs[p.qi]->id, cs[p.ci]->id, p.score});
+      sum += p.score;
+    }
+    if (match.alignment.empty()) continue;
+    const double aligned = static_cast<double>(match.alignment.size());
+    match.score =
+        (sum / aligned) * (aligned / static_cast<double>(qs.size()));
+    out.push_back(std::move(match));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const UnionMatch& a, const UnionMatch& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.table_idx < b.table_idx;
+            });
+  if (out.size() > k) out.resize(k);
+  return out;
+}
+
+/// Every table's full unionability ranking equals the oracle's, scores bit
+/// for bit.
+void ExpectUnionSearchMatchesOracle(const Corpus& corpus,
+                                    const std::vector<size_t>& queries) {
+  UnionSearch search(&corpus);
+  for (size_t q : queries) {
+    SCOPED_TRACE("query table " + corpus.table(q).name());
+    const std::vector<UnionMatch> got =
+        search.TopKUnionableTables(q, corpus.num_tables());
+    const std::vector<UnionMatch> want =
+        OracleTopKUnionable(corpus, q, corpus.num_tables());
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].table_idx, want[i].table_idx);
+      ASSERT_EQ(got[i].table_name, want[i].table_name);
+      ASSERT_EQ(got[i].score, want[i].score);
+      ASSERT_EQ(got[i].alignment.size(), want[i].alignment.size());
+      for (size_t j = 0; j < got[i].alignment.size(); ++j) {
+        EXPECT_EQ(got[i].alignment[j].query_column,
+                  want[i].alignment[j].query_column);
+        EXPECT_EQ(got[i].alignment[j].candidate_column,
+                  want[i].alignment[j].candidate_column);
+        EXPECT_EQ(got[i].alignment[j].score, want[i].alignment[j].score);
+      }
+    }
+    for (const ColumnSketch* a : corpus.TableSketches(q)) {
+      const ColumnSketch* b =
+          corpus.TableSketches((q + 1) % corpus.num_tables())[0];
+      EXPECT_EQ(search.AttributeUnionability(*a, *b),
+                OracleUnionability(corpus, a->id, b->id));
+    }
+  }
+}
+
+// The lake the end-to-end discovery workload builds: 120 joinable tables
+// with 20 planted pairs plus 8 union groups of 4 (fewer rows; names and
+// shapes are what the name signal reads).
+TEST(UnionSearchOracleTest, MatchesStringGramsOnLakeBuildShapedLake) {
+  workload::JoinableLakeOptions jo;
+  jo.num_tables = 120;
+  jo.rows_per_table = 60;
+  jo.num_planted_pairs = 20;
+  jo.seed = 1001;
+  workload::UnionableLakeOptions uo;
+  uo.num_groups = 8;
+  uo.tables_per_group = 4;
+  uo.rows_per_table = 60;
+  uo.seed = 1002;
+  std::vector<table::Table> tables = workload::MakeJoinableLake(jo).tables;
+  for (table::Table& t : workload::MakeUnionableLake(uo).tables) {
+    tables.push_back(std::move(t));
+  }
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddTables(tables).ok());
+  std::vector<size_t> queries;
+  for (size_t t = 0; t < corpus.num_tables(); ++t) {
+    if (t >= jo.num_tables || t % 10 == 0) queries.push_back(t);
+  }
+  ExpectUnionSearchMatchesOracle(corpus, queries);
+}
+
+TEST(UnionSearchOracleTest, MatchesStringGramsOnRandomNames) {
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    Corpus corpus;
+    std::vector<table::Table> tables;
+    for (size_t t = 0; t < 12; ++t) {
+      table::Schema schema;
+      const size_t cols = 1 + rng.Below(4);
+      for (size_t c = 0; c < cols; ++c) {
+        schema.AddField(table::Field{
+            oracle::RandomName(rng),
+            c % 2 == 0 ? table::DataType::kString : table::DataType::kInt64,
+            true});
+      }
+      table::Table table("t" + std::to_string(t), schema);
+      for (size_t r = 0; r < 30; ++r) {
+        std::vector<table::Value> row;
+        for (size_t c = 0; c < cols; ++c) {
+          const int64_t v = static_cast<int64_t>(rng.Below(40));
+          if (c % 2 == 0) {
+            row.emplace_back("v" + std::to_string(v));
+          } else {
+            row.emplace_back(v);
+          }
+        }
+        ASSERT_TRUE(table.AppendRow(std::move(row)).ok());
+      }
+      tables.push_back(std::move(table));
+    }
+    ASSERT_TRUE(corpus.AddTables(tables).ok());
+    std::vector<size_t> queries(corpus.num_tables());
+    for (size_t q = 0; q < queries.size(); ++q) queries[q] = q;
+    ExpectUnionSearchMatchesOracle(corpus, queries);
+  }
+}
+
+/// One column's distinct non-null rendered cells, straight from the table,
+/// in first-row order.
+std::vector<std::string> RenderedDistinct(const table::Table& t, size_t col) {
+  std::vector<std::string> out;
+  std::set<std::string> seen;
+  for (const table::Value& v : t.column(col)) {
+    if (v.is_null()) continue;
+    std::string s = v.ToString();
+    if (seen.insert(s).second) out.push_back(std::move(s));
+  }
+  return out;
+}
+
+size_t SetOverlap(const std::vector<std::string>& a,
+                  const std::vector<std::string>& b) {
+  const std::set<std::string> sb(b.begin(), b.end());
+  size_t n = 0;
+  for (const std::string& v : a) n += sb.count(v);
+  return n;
+}
+
+// The sketches' ids, the exact measures and JOSIE's top-k against sets the
+// test renders from the tables' cells itself.
+TEST(ValueDictionaryTest, ExactMeasuresAndJosieMatchRenderedCellSets) {
+  workload::JoinableLakeOptions options;
+  options.num_tables = 16;
+  options.rows_per_table = 80;
+  options.num_planted_pairs = 5;
+  workload::JoinableLake lake = workload::MakeJoinableLake(options);
+  Corpus corpus;
+  for (const table::Table& t : lake.tables) {
+    ASSERT_TRUE(corpus.AddTable(t).ok());
+  }
+  // A mixed-type table: int 1 and double 1.0 render alike, NULLs drop out.
+  table::Schema mixed;
+  mixed.AddField(table::Field{"m", table::DataType::kDouble, true});
+  table::Table extra("mixed", mixed);
+  for (table::Value v : {table::Value(1.0), table::Value(2.5), table::Value(),
+                         table::Value(1.0), table::Value(-0.0)}) {
+    ASSERT_TRUE(extra.AppendRow({v}).ok());
+  }
+  ASSERT_TRUE(corpus.AddTable(extra).ok());
+
+  std::vector<std::vector<std::string>> rendered;
+  for (const ColumnSketch& s : corpus.sketches()) {
+    rendered.push_back(RenderedDistinct(corpus.table(s.id.table_idx),
+                                        s.id.col_idx));
+    std::vector<std::string> from_ids;
+    for (uint32_t id : s.distinct_values) {
+      from_ids.emplace_back(corpus.dictionary()[id]);
+    }
+    ASSERT_EQ(from_ids, rendered.back())
+        << s.table_name << "." << s.column_name;
+    EXPECT_EQ(s.minhash.values(),
+              corpus.minhasher().Compute(rendered.back()).values());
+  }
+
+  JosieFinder josie(&corpus);
+  josie.Build();
+  const std::vector<ColumnSketch>& sketches = corpus.sketches();
+  for (size_t i = 0; i < sketches.size(); ++i) {
+    std::vector<ColumnMatch> want;
+    for (size_t j = 0; j < sketches.size(); ++j) {
+      const size_t overlap = SetOverlap(rendered[i], rendered[j]);
+      const size_t uni = rendered[i].size() + rendered[j].size() - overlap;
+      ASSERT_EQ(ExactOverlap(sketches[i], sketches[j]), overlap);
+      ASSERT_EQ(ExactJaccard(sketches[i], sketches[j]),
+                uni == 0 ? 0.0
+                         : static_cast<double>(overlap) /
+                               static_cast<double>(uni));
+      ASSERT_EQ(ExactContainment(sketches[i], sketches[j]),
+                rendered[i].empty()
+                    ? 0.0
+                    : static_cast<double>(overlap) /
+                          static_cast<double>(rendered[i].size()));
+      if (overlap > 0 &&
+          sketches[j].id.table_idx != sketches[i].id.table_idx) {
+        want.push_back(
+            ColumnMatch{sketches[j].id, static_cast<double>(overlap)});
+      }
+    }
+    SortAndTruncate(&want, 5);
+    EXPECT_EQ(josie.TopKOverlapColumns(sketches[i].id, 5), want)
+        << sketches[i].table_name << "." << sketches[i].column_name;
+  }
+}
+
 // ------------------------------------------------- parallel determinism
 
 // The execution-layer contract (DESIGN.md): a parallel-built corpus is
 // bit-identical to one built on a one-worker pool over the same lake, and
 // to one built a table per AddTable call — sketch order, minhash values,
-// embeddings, everything discovery reads.
+// embeddings, dictionary ids and bytes, everything discovery reads.
 TEST(CorpusParallelTest, ParallelBuildMatchesSerialBitForBit) {
   workload::JoinableLakeOptions options;
   options.num_tables = 16;
@@ -572,6 +839,11 @@ TEST(CorpusParallelTest, ParallelBuildMatchesSerialBitForBit) {
   for (const Corpus* other : {&parallel, &one_at_a_time}) {
     ASSERT_EQ(other->num_tables(), serial.num_tables());
     ASSERT_EQ(other->num_columns(), serial.num_columns());
+    ASSERT_EQ(other->dictionary().size(), serial.dictionary().size());
+    EXPECT_EQ(other->dictionary().bytes(), serial.dictionary().bytes());
+    for (uint32_t id = 0; id < serial.dictionary().size(); ++id) {
+      ASSERT_EQ(other->dictionary()[id], serial.dictionary()[id]);
+    }
     for (size_t i = 0; i < serial.sketches().size(); ++i) {
       const ColumnSketch& s = serial.sketches()[i];
       const ColumnSketch& p = other->sketches()[i];
@@ -581,7 +853,8 @@ TEST(CorpusParallelTest, ParallelBuildMatchesSerialBitForBit) {
       EXPECT_EQ(p.column_name, s.column_name);
       EXPECT_EQ(p.type, s.type);
       EXPECT_EQ(p.distinct_values, s.distinct_values);
-      EXPECT_EQ(p.value_set, s.value_set);
+      EXPECT_EQ(p.sorted_values, s.sorted_values);
+      EXPECT_EQ(p.name_grams, s.name_grams);
       EXPECT_EQ(p.minhash.values(), s.minhash.values());
       EXPECT_EQ(p.embedding, s.embedding);
       EXPECT_EQ(p.format_histogram, s.format_histogram);

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "evolution/inclusion_deps.h"
 #include "evolution/schema_history.h"
 #include "json/parser.h"
@@ -212,6 +218,114 @@ TEST(InclusionDepsTest, MinDistinctFiltersTinyColumns) {
   auto inds = DiscoverInclusionDependencies({*a, *b}, options);
   for (const InclusionDependency& ind : inds) {
     EXPECT_NE(ind.dependent_table, "a");  // single-valued column filtered
+  }
+}
+
+/// Discovery as pairwise checks: every cross-table column pair that passes
+/// the distinct filter goes through HoldsInclusion, then pairs of unary
+/// INDs over the same tables through the binary check. The oracle of the
+/// discovery's precomputed column keys.
+std::vector<std::string> OracleInds(const std::vector<table::Table>& tables,
+                                    const IndOptions& options) {
+  auto distinct = [](const table::Table& t, size_t col) {
+    std::set<std::string> values;
+    for (const table::Value& v : t.column(col)) {
+      if (!v.is_null()) values.insert(v.ToString());
+    }
+    return values.size();
+  };
+  std::vector<std::string> out;
+  std::vector<std::array<size_t, 4>> unary;
+  for (size_t a = 0; a < tables.size(); ++a) {
+    for (size_t b = 0; b < tables.size(); ++b) {
+      if (a == b) continue;
+      for (size_t ca = 0; ca < tables[a].num_columns(); ++ca) {
+        for (size_t cb = 0; cb < tables[b].num_columns(); ++cb) {
+          if (distinct(tables[a], ca) < options.min_distinct ||
+              distinct(tables[b], cb) < options.min_distinct) {
+            continue;
+          }
+          if (HoldsInclusion(tables[a], {ca}, tables[b], {cb})) {
+            unary.push_back({a, ca, b, cb});
+            out.push_back(tables[a].name() + "[" +
+                          tables[a].schema().field(ca).name + "] <= " +
+                          tables[b].name() + "[" +
+                          tables[b].schema().field(cb).name + "]");
+          }
+        }
+      }
+    }
+  }
+  for (size_t i = 0; options.max_arity >= 2 && i < unary.size(); ++i) {
+    for (size_t j = i + 1; j < unary.size(); ++j) {
+      const auto& u = unary[i];
+      const auto& v = unary[j];
+      if (u[0] != v[0] || u[2] != v[2] || u[1] == v[1] || u[3] == v[3]) {
+        continue;
+      }
+      if (HoldsInclusion(tables[u[0]], {u[1], v[1]}, tables[u[2]],
+                         {u[3], v[3]})) {
+        InclusionDependency ind{
+            tables[u[0]].name(),
+            {tables[u[0]].schema().field(u[1]).name,
+             tables[u[0]].schema().field(v[1]).name},
+            tables[u[2]].name(),
+            {tables[u[2]].schema().field(u[3]).name,
+             tables[u[2]].schema().field(v[3]).name}};
+        out.push_back(ind.ToString());
+      }
+    }
+  }
+  return out;
+}
+
+// Seeded random tables over small, overlapping domains — ints, strings that
+// spell the same digits, NULLs and empty tables — so many inclusions hold.
+TEST(InclusionDepsTest, MatchesPairwiseHoldsInclusionOnRandomTables) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<table::Table> tables;
+    const size_t num_tables = 2 + rng.Below(3);
+    for (size_t t = 0; t < num_tables; ++t) {
+      table::Schema schema;
+      const size_t cols = 1 + rng.Below(3);
+      for (size_t c = 0; c < cols; ++c) {
+        schema.AddField(table::Field{
+            "c" + std::to_string(c),
+            rng.Below(2) == 0 ? table::DataType::kInt64
+                              : table::DataType::kString,
+            true});
+      }
+      table::Table table("t" + std::to_string(t), schema);
+      const size_t rows = rng.Below(4) == 0 ? 0 : 1 + rng.Below(12);
+      const uint64_t domain = 2 + rng.Below(6);
+      for (size_t r = 0; r < rows; ++r) {
+        std::vector<table::Value> row;
+        for (size_t c = 0; c < cols; ++c) {
+          const int64_t v = static_cast<int64_t>(rng.Below(domain));
+          if (rng.Below(10) == 0) {
+            row.emplace_back();
+          } else if (schema.field(c).type == table::DataType::kInt64) {
+            row.emplace_back(v);
+          } else {
+            row.emplace_back(std::to_string(v));
+          }
+        }
+        ASSERT_TRUE(table.AppendRow(std::move(row)).ok());
+      }
+      tables.push_back(std::move(table));
+    }
+    for (size_t min_distinct : {1, 2}) {
+      IndOptions options;
+      options.min_distinct = min_distinct;
+      std::vector<std::string> got;
+      for (const InclusionDependency& ind :
+           DiscoverInclusionDependencies(tables, options)) {
+        got.push_back(ind.ToString());
+      }
+      EXPECT_EQ(got, OracleInds(tables, options))
+          << "seed " << seed << " min_distinct " << min_distinct;
+    }
   }
 }
 

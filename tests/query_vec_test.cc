@@ -594,7 +594,9 @@ TEST(ZoneMapDifferentialTest, PrunedFilterMatchesReference) {
         Result<Table> got =
             Filter(t, *pred, &zones, PoolOpts(pool), &stats);
         ASSERT_EQ(ref.ok(), got.ok()) << "ok-ness diverges under pruning";
-        if (ref.ok()) EXPECT_TRUE(BitIdentical(*ref, *got));
+        if (ref.ok()) {
+          EXPECT_TRUE(BitIdentical(*ref, *got));
+        }
         pruned_total += stats.morsels_pruned;
       }
     }

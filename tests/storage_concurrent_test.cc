@@ -207,7 +207,9 @@ TEST_F(KvStoreConcurrentTest, ScanPrefixStableUnderConcurrentCompaction) {
     int i = 0;
     while (!done.load(std::memory_order_acquire)) {
       EXPECT_TRUE(kv->Put("churn/" + std::to_string(i++ % 50), "y").ok());
-      if (i % 25 == 0) EXPECT_TRUE(kv->Compact().ok());
+      if (i % 25 == 0) {
+        EXPECT_TRUE(kv->Compact().ok());
+      }
     }
   });
   for (int round = 0; round < 50; ++round) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -13,7 +16,10 @@
 #include "text/lsh.h"
 #include "text/minhash.h"
 #include "text/tfidf.h"
+#include "text/dictionary.h"
 #include "text/tokenize.h"
+
+#include "name_gram_oracle.h"
 
 namespace lakekit::text {
 namespace {
@@ -38,12 +44,124 @@ TEST(QGramsTest, LowercasesInput) {
 }
 
 TEST(JaccardTest, ExactValues) {
+  using oracle::JaccardSimilarity;
   EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "b"}, {"a", "b"}), 1.0);
   EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "b"}, {"c"}), 0.0);
   EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "b", "c"}, {"b", "c", "d"}), 0.5);
   EXPECT_DOUBLE_EQ(JaccardSimilarity({}, {}), 1.0);
   // Duplicates are treated as sets.
   EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "a"}, {"a"}), 1.0);
+  EXPECT_DOUBLE_EQ(GramJaccard({}, {}), 1.0);
+}
+
+TEST(NameGramsTest, PacksTheDistinctPaddedGramsSorted) {
+  // "$$ab$$" -> $$a, $ab, ab$, b$$; "Aa" lowercases to a repeated gram set.
+  auto pack = [](const char* g) {
+    return static_cast<uint32_t>(static_cast<unsigned char>(g[0])) << 16 |
+           static_cast<uint32_t>(static_cast<unsigned char>(g[1])) << 8 |
+           static_cast<uint32_t>(static_cast<unsigned char>(g[2]));
+  };
+  EXPECT_EQ(NameGrams("AB"), (std::vector<uint32_t>{pack("$$a"), pack("$ab"),
+                                                    pack("ab$"), pack("b$$")}));
+  EXPECT_EQ(NameGrams("aaaa").size(), 5u);  // $$a $aa aaa aa$ a$$
+  EXPECT_EQ(NameGrams(""), (std::vector<uint32_t>{pack("$$$")}));
+}
+
+// Bit-equal to the string q-gram Jaccard on names with empty strings,
+// upper case, the '$' pad byte and bytes >= 0x80.
+TEST(NameGramsTest, GramJaccardMatchesStringOracle) {
+  Rng rng(20240);
+  for (int i = 0; i < 5000; ++i) {
+    const std::string a = oracle::RandomName(rng);
+    const std::string b = i % 7 == 0 ? a : oracle::RandomName(rng);
+    const double want = oracle::StringGramJaccard(a, b);
+    const double got = GramJaccard(NameGrams(a), NameGrams(b));
+    ASSERT_EQ(got, want) << "'" << a << "' vs '" << b << "'";
+  }
+}
+
+TEST(SortedOverlapTest, MergeAndGallopAgreeWithSetIntersection) {
+  Rng rng(7);
+  for (int i = 0; i < 300; ++i) {
+    // Sizes far apart take the binary-search path, close ones the merge.
+    std::set<uint32_t> a;
+    std::set<uint32_t> b;
+    const size_t na = rng.Below(40);
+    const size_t nb = i % 2 == 0 ? rng.Below(40) : 600 + rng.Below(600);
+    while (a.size() < na) a.insert(static_cast<uint32_t>(rng.Below(2000)));
+    while (b.size() < nb) b.insert(static_cast<uint32_t>(rng.Below(2000)));
+    size_t want = 0;
+    for (uint32_t v : a) want += b.count(v);
+    const std::vector<uint32_t> va(a.begin(), a.end());
+    const std::vector<uint32_t> vb(b.begin(), b.end());
+    EXPECT_EQ(SortedOverlap(va, vb), want);
+    EXPECT_EQ(SortedOverlap(vb, va), want);
+  }
+}
+
+// ------------------------------------------------------------- dictionary
+
+TEST(StringDictionaryTest, DenseIdsInFirstInternOrderOverOneArena) {
+  StringDictionary dict;
+  auto intern = [&dict](std::string_view s) {
+    return dict.Intern(s, Fnv1a64(s));
+  };
+  EXPECT_FALSE(dict.Find("a").has_value());
+  EXPECT_EQ(intern("b"), 0u);
+  EXPECT_EQ(intern(""), 1u);
+  EXPECT_EQ(intern("a"), 2u);
+  EXPECT_EQ(intern("b"), 0u);
+  EXPECT_EQ(dict.size(), 3u);
+  EXPECT_EQ(dict.bytes(), "ba");
+  EXPECT_EQ(dict[0], "b");
+  EXPECT_EQ(dict[1], "");
+  EXPECT_EQ(dict[2], "a");
+  EXPECT_EQ(dict.Find(""), std::optional<uint32_t>(1));
+  EXPECT_FALSE(dict.Find("c").has_value());
+}
+
+// Many rehashes later every string still finds its id, against a map oracle.
+TEST(StringDictionaryTest, MatchesMapOracleThroughGrowth) {
+  StringDictionary dict;
+  std::map<std::string, uint32_t> oracle;
+  Rng rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    std::string s = rng.NextWord(1 + rng.Below(4));
+    if (i % 5 == 0) s += std::string(1, '\0') + "\xfe";
+    auto [it, inserted] =
+        oracle.emplace(s, static_cast<uint32_t>(oracle.size()));
+    ASSERT_EQ(dict.Intern(s, Fnv1a64(s)), it->second);
+  }
+  ASSERT_EQ(dict.size(), oracle.size());
+  for (const auto& [s, id] : oracle) {
+    ASSERT_EQ(dict.Find(s), std::optional<uint32_t>(id));
+    ASSERT_EQ(dict[id], s);
+  }
+}
+
+// InternAll interns another dictionary's strings in its id order, exactly
+// as one Intern call per string would, whether or not room was reserved.
+TEST(StringDictionaryTest, InternAllMatchesInternInOrder) {
+  Rng rng(3);
+  StringDictionary one_by_one;
+  StringDictionary batched;
+  for (int column = 0; column < 50; ++column) {
+    StringDictionary local;
+    std::vector<uint64_t> hashes;
+    for (int i = 0; i < 200; ++i) {
+      const std::string s = rng.NextWord(1 + rng.Below(3));
+      if (local.Intern(s, Fnv1a64(s)) == hashes.size()) {
+        hashes.push_back(Fnv1a64(s));
+      }
+    }
+    std::vector<uint32_t> want;
+    for (uint32_t i = 0; i < local.size(); ++i) {
+      want.push_back(one_by_one.Intern(local[i], hashes[i]));
+    }
+    if (column % 2 == 0) batched.Reserve(local.size());
+    ASSERT_EQ(batched.InternAll(local, hashes), want);
+  }
+  EXPECT_EQ(batched.bytes(), one_by_one.bytes());
 }
 
 // ---------------------------------------------------------------- minhash
