@@ -25,6 +25,10 @@ std::string HistoryKey(std::string_view name, uint64_t version) {
   return "hist/" + std::string(name) + "/" + buf;
 }
 
+Status NotCataloged(std::string_view name) {
+  return Status::NotFound("dataset '" + std::string(name) + "' not cataloged");
+}
+
 json::Value StringsToJson(const std::vector<std::string>& items) {
   json::Array arr;
   for (const std::string& s : items) arr.emplace_back(s);
@@ -103,8 +107,7 @@ Result<Catalog> Catalog::Open(const std::string& dir) {
   }
   LAKEKIT_ASSIGN_OR_RETURN(auto pairs, catalog.store_->ScanPrefix("ds/"));
   for (const auto& [key, payload] : pairs) {
-    LAKEKIT_ASSIGN_OR_RETURN(Current current, Load(payload));
-    catalog.current_.emplace(key.substr(3), std::move(current));
+    catalog.current_.emplace(key.substr(3), Load(payload));
   }
   return catalog;
 }
@@ -163,11 +166,9 @@ Status Catalog::Update(DatasetEntry entry) {
 
 Result<DatasetEntry> Catalog::Get(std::string_view name) const {
   auto it = current_.find(name);
-  if (it == current_.end()) {
-    return Status::NotFound("dataset '" + std::string(name) +
-                            "' not cataloged");
-  }
-  return it->second.entry;
+  if (it == current_.end()) return NotCataloged(name);
+  if (!it->second.ok()) return it->second.status();
+  return it->second->entry;
 }
 
 Result<DatasetEntry> Catalog::GetVersion(std::string_view name,
@@ -196,9 +197,10 @@ Result<std::vector<DatasetEntry>> Catalog::History(
 }
 
 Status Catalog::Remove(std::string_view name) {
-  LAKEKIT_RETURN_IF_ERROR(Get(name).status());
+  auto it = current_.find(name);
+  if (it == current_.end()) return NotCataloged(name);
   LAKEKIT_RETURN_IF_ERROR(store_->Delete(EntryKey(name)));
-  current_.erase(current_.find(name));
+  current_.erase(it);
   LAKEKIT_ASSIGN_OR_RETURN(
       auto pairs, store_->ScanPrefix("hist/" + std::string(name) + "/"));
   for (const auto& [key, payload] : pairs) {
@@ -218,7 +220,7 @@ std::vector<DatasetEntry> Catalog::Filter(
     const std::function<bool(const Current&)>& keep) const {
   std::vector<DatasetEntry> out;
   for (const auto& [name, current] : current_) {
-    if (keep(current)) out.push_back(current.entry);
+    if (current.ok() && keep(*current)) out.push_back(current->entry);
   }
   return out;
 }

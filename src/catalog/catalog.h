@@ -63,13 +63,14 @@ struct DatasetEntry {
 /// or when written) together with its lowercased search text, so lookups
 /// and keyword search read memory — the catalog's in-memory data index.
 /// The store stays the durable copy; `History` and `GetVersion` read it.
+/// A stored entry that does not parse stays listed: `Get` and `Update`
+/// return its parse error, the searches skip it, and `Remove` deletes it.
 ///
 /// Thread safety: const calls may run concurrently with each other; a
 /// mutating call (Register, Update, Remove) must not overlap any other call.
 class Catalog {
  public:
-  /// Opens a catalog persisted under `dir`. Corruption if a current entry
-  /// does not parse.
+  /// Opens a catalog persisted under `dir`.
   static Result<Catalog> Open(const std::string& dir);
 
   Catalog(Catalog&&) = default;
@@ -128,13 +129,14 @@ class Catalog {
   /// Parses a stored payload into its in-memory form.
   static Result<Current> Load(std::string_view payload);
 
-  /// The current entries that `keep` accepts, in name order.
+  /// The current entries that parsed and that `keep` accepts, in name order.
   std::vector<DatasetEntry> Filter(
       const std::function<bool(const Current&)>& keep) const;
 
   std::unique_ptr<storage::KvStore> store_;
   int64_t clock_ = 0;
-  std::map<std::string, Current, std::less<>> current_;
+  /// By name; an entry that did not parse is held as its error.
+  std::map<std::string, Result<Current>, std::less<>> current_;
 };
 
 }  // namespace lakekit::catalog

@@ -219,6 +219,17 @@ Result<size_t> Corpus::TableIndex(std::string_view name) const {
   return it->second;
 }
 
+const ColumnSketch& Corpus::sketch(ColumnId id) const {
+  // An id this corpus does not hold must not read past the end or another
+  // table's column.
+  if (id.table_idx >= sketch_range_.size() ||
+      id.col_idx >= sketch_range_[id.table_idx].second -
+                        sketch_range_[id.table_idx].first) {
+    LAKEKIT_CHECK_OK(Status::OutOfRange("column id not in corpus"));
+  }
+  return sketches_[sketch_range_[id.table_idx].first + id.col_idx];
+}
+
 std::vector<const ColumnSketch*> Corpus::TableSketches(
     size_t table_idx) const {
   std::vector<const ColumnSketch*> out;

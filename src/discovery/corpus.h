@@ -130,10 +130,8 @@ class Corpus {
   const table::Table& table(size_t idx) const { return tables_[idx]; }
   Result<size_t> TableIndex(std::string_view name) const;
 
-  /// Sketch of a column by id.
-  const ColumnSketch& sketch(ColumnId id) const {
-    return sketches_[sketch_range_[id.table_idx].first + id.col_idx];
-  }
+  /// Sketch of a column by id. Aborts if the id names no column here.
+  const ColumnSketch& sketch(ColumnId id) const;
   /// All sketches, iteration order = insertion order.
   const std::vector<ColumnSketch>& sketches() const { return sketches_; }
   /// Sketches belonging to one table: O(columns of that table), served from

@@ -55,22 +55,10 @@ std::vector<uint32_t> NameGrams(std::string_view input) {
 
 size_t SortedOverlap(const std::vector<uint32_t>& a,
                      const std::vector<uint32_t>& b) {
-  const std::vector<uint32_t>& small = a.size() <= b.size() ? a : b;
-  const std::vector<uint32_t>& large = a.size() <= b.size() ? b : a;
   size_t overlap = 0;
-  auto it = large.begin();
-  // Far apart in size, binary-search each element of the smaller side in
-  // what is left of the larger one; otherwise merge.
-  if (small.size() * 16 < large.size()) {
-    for (uint32_t v : small) {
-      it = std::lower_bound(it, large.end(), v);
-      if (it == large.end()) break;
-      if (*it == v) ++overlap;
-    }
-    return overlap;
-  }
-  auto jt = small.begin();
-  while (it != large.end() && jt != small.end()) {
+  auto it = a.begin();
+  auto jt = b.begin();
+  while (it != a.end() && jt != b.end()) {
     if (*it < *jt) {
       ++it;
     } else if (*jt < *it) {

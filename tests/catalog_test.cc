@@ -5,6 +5,7 @@
 #include "catalog/catalog.h"
 #include "json/parser.h"
 #include "json/writer.h"
+#include "storage/kv_store.h"
 
 namespace lakekit::catalog {
 namespace {
@@ -245,6 +246,45 @@ TEST_F(CatalogTest, ReopenedCatalogAnswersLikeTheLiveOne) {
               Serialized(live->FindByOwner(owner)));
   }
   EXPECT_EQ(live->FindByOwner("ada").size(), 1u);
+}
+
+// One current entry that does not parse costs that entry alone: the catalog
+// opens, Get and Update return the parse error, the searches skip it, the
+// name stays taken, and Remove deletes it.
+TEST_F(CatalogTest, UnparsableEntryIsSkippedNotFatal) {
+  {
+    auto catalog = Catalog::Open(dir_);
+    ASSERT_TRUE(catalog.ok());
+    ASSERT_TRUE(catalog->Register(MakeEntry("good")).ok());
+  }
+  {
+    auto store = storage::KvStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("ds/garbled", "not json {").ok());
+    ASSERT_TRUE((*store)->Put("ds/nameless", "{}").ok());
+  }
+  auto catalog = Catalog::Open(dir_);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  for (const char* name : {"garbled", "nameless"}) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(catalog->Get(name).status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(catalog->Update(MakeEntry(name)).code(),
+              StatusCode::kCorruption);
+    EXPECT_TRUE(catalog->Register(MakeEntry(name)).IsAlreadyExists());
+  }
+  EXPECT_EQ(catalog->ListDatasets(),
+            (std::vector<std::string>{"garbled", "good", "nameless"}));
+  EXPECT_EQ(catalog->num_datasets(), 3u);
+  std::vector<DatasetEntry> all = catalog->Search("");
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].name, "good");
+  EXPECT_EQ(catalog->FindByTag("test").size(), 1u);
+  EXPECT_EQ(catalog->FindByOwner("ada").size(), 1u);
+
+  ASSERT_TRUE(catalog->Remove("garbled").ok());
+  EXPECT_TRUE(catalog->Get("garbled").status().IsNotFound());
+  ASSERT_TRUE(catalog->Register(MakeEntry("garbled")).ok());
+  EXPECT_EQ(catalog->Search("garbled").size(), 1u);
 }
 
 TEST_F(CatalogTest, JsonRoundTripPreservesAllCategories) {

@@ -903,6 +903,23 @@ TEST(CorpusParallelTest, TableSketchesServesOwnColumnsInOrder) {
   EXPECT_TRUE(corpus.TableSketches(corpus.num_tables()).empty());
 }
 
+// A column id the corpus does not hold stops the process, whether its table
+// is past the end or its column past its table's width (which would
+// otherwise read the next table's first column).
+TEST(CorpusDeathTest, SketchOfUnknownColumnAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  workload::JoinableLakeOptions options;
+  options.num_tables = 2;
+  workload::JoinableLake lake = workload::MakeJoinableLake(options);
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddTables(lake.tables).ok());
+  const auto width = static_cast<uint32_t>(corpus.table(0).num_columns());
+  EXPECT_EQ(corpus.sketch(ColumnId{0, width - 1}).id,
+            (ColumnId{0, width - 1}));
+  EXPECT_DEATH(corpus.sketch(ColumnId{0, width}), "not in corpus");
+  EXPECT_DEATH(corpus.sketch(ColumnId{2, 0}), "not in corpus");
+}
+
 // Finder builds are deterministic across pool sizes: same EKG edges, same
 // PK-FK pairs, same query answers.
 TEST(CorpusParallelTest, AurumBuildIsDeterministicAcrossPoolSizes) {

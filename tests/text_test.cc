@@ -80,10 +80,10 @@ TEST(NameGramsTest, GramJaccardMatchesStringOracle) {
   }
 }
 
-TEST(SortedOverlapTest, MergeAndGallopAgreeWithSetIntersection) {
+TEST(SortedOverlapTest, MatchesSetIntersection) {
   Rng rng(7);
   for (int i = 0; i < 300; ++i) {
-    // Sizes far apart take the binary-search path, close ones the merge.
+    // Sizes close together and far apart.
     std::set<uint32_t> a;
     std::set<uint32_t> b;
     const size_t na = rng.Below(40);
