@@ -124,22 +124,19 @@ Result<Catalog::Current> Catalog::Load(std::string_view payload) {
   return Current{std::move(e), std::move(text)};
 }
 
-int64_t Catalog::NextTimestamp() {
-  ++clock_;
-  // ignore: best-effort persistence; the clock stays monotonic in-process and
-  // is re-persisted by the next successful mutation.
-  (void)store_->Put("meta/clock", std::to_string(clock_));
-  return clock_;
-}
-
 Status Catalog::Write(const DatasetEntry& entry) {
   std::string payload = json::Write(entry.ToJson());
   // The in-memory entry is the payload parsed back, so it is exactly what a
   // reopened catalog would hold.
   LAKEKIT_ASSIGN_OR_RETURN(Current current, Load(payload));
-  LAKEKIT_RETURN_IF_ERROR(store_->Put(EntryKey(entry.name), payload));
+  storage::WriteBatch batch;
+  batch.Put("meta/clock", std::to_string(entry.updated_at));
+  batch.Put(EntryKey(entry.name), payload);
+  batch.Put(HistoryKey(entry.name, entry.version), payload);
+  LAKEKIT_RETURN_IF_ERROR(store_->Write(batch));
+  clock_ = entry.updated_at;
   current_.insert_or_assign(entry.name, std::move(current));
-  return store_->Put(HistoryKey(entry.name, entry.version), payload);
+  return Status::OK();
 }
 
 Status Catalog::Register(DatasetEntry entry) {
@@ -151,7 +148,7 @@ Status Catalog::Register(DatasetEntry entry) {
                                  "' already cataloged");
   }
   entry.version = 1;
-  entry.created_at = NextTimestamp();
+  entry.created_at = clock_ + 1;
   entry.updated_at = entry.created_at;
   return Write(entry);
 }
@@ -160,7 +157,7 @@ Status Catalog::Update(DatasetEntry entry) {
   LAKEKIT_ASSIGN_OR_RETURN(DatasetEntry current, Get(entry.name));
   entry.version = current.version + 1;
   entry.created_at = current.created_at;
-  entry.updated_at = NextTimestamp();
+  entry.updated_at = clock_ + 1;
   return Write(entry);
 }
 
@@ -199,13 +196,13 @@ Result<std::vector<DatasetEntry>> Catalog::History(
 Status Catalog::Remove(std::string_view name) {
   auto it = current_.find(name);
   if (it == current_.end()) return NotCataloged(name);
-  LAKEKIT_RETURN_IF_ERROR(store_->Delete(EntryKey(name)));
-  current_.erase(it);
   LAKEKIT_ASSIGN_OR_RETURN(
       auto pairs, store_->ScanPrefix("hist/" + std::string(name) + "/"));
-  for (const auto& [key, payload] : pairs) {
-    LAKEKIT_RETURN_IF_ERROR(store_->Delete(key));
-  }
+  storage::WriteBatch batch;
+  batch.Delete(EntryKey(name));
+  for (const auto& [key, payload] : pairs) batch.Delete(key);
+  LAKEKIT_RETURN_IF_ERROR(store_->Write(batch));
+  current_.erase(it);
   return Status::OK();
 }
 

@@ -66,6 +66,16 @@ struct DatasetEntry {
 /// A stored entry that does not parse stays listed: `Get` and `Update`
 /// return its parse error, the searches skip it, and `Remove` deletes it.
 ///
+/// Each mutation commits as one `KvStore::Write` batch (one WAL append, one
+/// fsync); the in-memory entries and clock change only once it has. A crash
+/// mid-commit can persist a prefix of a batch. Register and Update write
+/// `meta/clock`, `ds/<name>`, then `hist/<name>/<version>`: a prefix skips a
+/// timestamp or leaves the new entry without its history record, and since
+/// the clock comes first a reopened clock is never behind a stored
+/// timestamp. Remove deletes `ds/<name>`, then the history records in
+/// version order: a prefix can leave later versions in `History` and
+/// `GetVersion` of an uncataloged name.
+///
 /// Thread safety: const calls may run concurrently with each other; a
 /// mutating call (Register, Update, Remove) must not overlap any other call.
 class Catalog {
@@ -120,10 +130,10 @@ class Catalog {
 
   explicit Catalog(std::unique_ptr<storage::KvStore> store);
 
-  int64_t NextTimestamp();
-
-  /// Writes `entry` as the current version (`ds/<name>`), then its history
-  /// record; the in-memory entry follows once the first Put has succeeded.
+  /// Commits `entry`, stamped with the next timestamp (`clock_ + 1`) as its
+  /// `updated_at`, in one batch: the clock, the current version
+  /// (`ds/<name>`), then its history record. The in-memory entry and the
+  /// clock follow once the batch is durable.
   Status Write(const DatasetEntry& entry);
 
   /// Parses a stored payload into its in-memory form.

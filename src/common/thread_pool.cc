@@ -92,20 +92,7 @@ struct ForState {
   Status first_error LAKEKIT_GUARDED_BY(mu);
   size_t first_error_chunk LAKEKIT_GUARDED_BY(mu) =
       std::numeric_limits<size_t>::max();
-  /// External interruption (cancel token / deadline) observed by some chunk;
-  /// once set, every not-yet-started chunk is skipped.
-  bool interrupted LAKEKIT_GUARDED_BY(mu) = false;
-  Status interrupt_status LAKEKIT_GUARDED_BY(mu);
 };
-
-/// The cancel-token/deadline check each chunk runs before starting.
-Status ExternalInterrupt(const ParallelOptions& options) {
-  if (options.cancel.cancelled()) return options.cancel.status();
-  if (options.deadline.expired()) {
-    return Status::DeadlineExceeded("deadline expired in ParallelFor");
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -137,12 +124,7 @@ Status ParallelFor(size_t begin, size_t end,
     }
     return s;
   };
-  if (num_chunks == 1) {
-    if (Status interrupt = ExternalInterrupt(options); !interrupt.ok()) {
-      return interrupt;
-    }
-    return run_range(begin, end);
-  }
+  if (num_chunks == 1) return run_range(begin, end);
 
   auto state = std::make_shared<ForState>();
   state->pending = num_chunks;
@@ -162,38 +144,26 @@ Status ParallelFor(size_t begin, size_t end,
     if (last) state->done.NotifyAll();
   };
 
-  // Cooperative cancellation gate, run before a chunk starts. A chunk is
-  // skipped when (a) an external interrupt (token/deadline) was observed,
-  // or (b) a *lower* chunk already failed. Rule (b) preserves the
-  // deterministic lowest-chunk-wins contract: every chunk below the
-  // eventual winner still runs (by induction, none of them can have been
-  // skipped), so the winning error is the one the run-everything execution
-  // would have returned — only work above it is shed.
-  auto run_chunk = [state, finish_chunk, &options, &run_range](
-                       size_t c, size_t lo, size_t hi) {
+  // Cancellation gate, run before a chunk starts: a chunk is skipped when
+  // a *lower* chunk already failed. That preserves the deterministic
+  // lowest-chunk-wins contract: every chunk below the eventual winner still
+  // runs (by induction, none of them can have been skipped), so the winning
+  // error is the one the run-everything execution would have returned —
+  // only work above it is shed.
+  auto run_chunk = [state, finish_chunk, &run_range](size_t c, size_t lo,
+                                                     size_t hi) {
     bool skip = false;
     {
       MutexLock lock(state->mu);
-      skip = state->interrupted || state->first_error_chunk < c;
-    }
-    if (!skip) {
-      if (Status interrupt = ExternalInterrupt(options); !interrupt.ok()) {
-        MutexLock lock(state->mu);
-        if (!state->interrupted) {
-          state->interrupted = true;
-          state->interrupt_status = std::move(interrupt);
-        }
-        skip = true;
-      }
+      skip = state->first_error_chunk < c;
     }
     // A skipped chunk reports OK: it contributes no error and no work.
     finish_chunk(c, skip ? Status::OK() : run_range(lo, hi));
   };
 
   // Chunks 1..num_chunks-1 go to the pool; the caller runs chunk 0 itself.
-  // `fn`, `options`, and `run_range` are captured by reference/pointer: the
-  // caller blocks below until every chunk has finished, so they outlive all
-  // tasks.
+  // `fn` and `run_range` are captured by reference: the caller blocks below
+  // until every chunk has finished, so they outlive all tasks.
   for (size_t c = 1; c < num_chunks; ++c) {
     const size_t lo = begin + c * grain;
     const size_t hi = std::min(end, lo + grain);
@@ -222,11 +192,7 @@ Status ParallelFor(size_t begin, size_t end,
   }
 
   MutexLock lock(state->mu);
-  // A chunk's own error outranks the interruption status: the error is
-  // deterministic (lowest chunk wins) and interruption is what *stopped*
-  // the rest, not what went wrong first.
-  if (!state->first_error.ok()) return state->first_error;
-  return state->interrupt_status;
+  return state->first_error;
 }
 
 }  // namespace lakekit

@@ -7,8 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/cancellation.h"
-#include "common/deadline.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -77,15 +75,6 @@ struct ParallelOptions {
   /// Indices per task. 0 picks automatically (~4 chunks per worker, at
   /// least 1 index each). Tests use grain=1 to pin chunk == index.
   size_t grain = 0;
-  /// Cooperative cancellation, checked once per chunk before it starts:
-  /// a cancelled token skips every not-yet-started chunk and ParallelFor
-  /// returns the token's status. Default-constructed: never cancelled.
-  CancelToken cancel{};
-  /// Deadline, checked once per chunk before it starts: expiry skips every
-  /// not-yet-started chunk and ParallelFor returns kDeadlineExceeded.
-  /// Default: infinite. For finer-than-chunk granularity (e.g. per-morsel
-  /// in the query engine), `fn` checks and returns the error itself.
-  Deadline deadline{};
 };
 
 /// Runs `fn(i)` for every i in [begin, end) across the pool, blocking until
@@ -99,13 +88,9 @@ struct ParallelOptions {
 /// failing chunk; everything below it still runs, which is exactly what
 /// keeps the lowest-failing-chunk result identical to the run-everything
 /// execution. Exceptions thrown by `fn` are caught and reported as
-/// `Status::Internal`.
-///
-/// Interruption contract (`options.cancel` / `options.deadline`): checked
-/// once per chunk; on interruption, unstarted chunks are skipped (already
-/// running chunks finish their current work). A chunk error, if any chunk
-/// produced one, takes precedence over the interruption status in the
-/// return value.
+/// `Status::Internal`. Interruption is `fn`'s to check: the query
+/// operators test their cancel token and deadline once per morsel and
+/// return the error, which then cancels the chunks above it like any other.
 Status ParallelFor(size_t begin, size_t end,
                    const std::function<Status(size_t)>& fn,
                    const ParallelOptions& options = {});

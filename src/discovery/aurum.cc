@@ -12,8 +12,7 @@ AurumFinder::AurumFinder(const Corpus* corpus, AurumOptions options)
     : corpus_(corpus), options_(options) {}
 
 Status AurumFinder::Build(ThreadPool* pool) {
-  if (options_.lsh_bands * options_.lsh_rows !=
-      corpus_->options().minhash_size) {
+  if (options_.lsh_bands * options_.lsh_rows != kMinHashSize) {
     return Status::InvalidArgument(
         "lsh_bands * lsh_rows must equal the corpus MinHash size");
   }
@@ -132,7 +131,7 @@ Status AurumFinder::Build(ThreadPool* pool) {
       0, sketches.size(),
       [&](size_t i) -> Status {
         const ColumnSketch& pk = sketches[i];
-        if (pk.profile.uniqueness() < options_.pkfk_uniqueness_threshold ||
+        if (pk.uniqueness() < options_.pkfk_uniqueness_threshold ||
             pk.sorted_values.empty()) {
           return Status::OK();
         }

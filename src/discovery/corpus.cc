@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "common/hash.h"
 #include "text/tokenize.h"
 
 namespace lakekit::discovery {
@@ -48,19 +47,12 @@ std::string FormatPattern(std::string_view value) {
 
 namespace {
 
-/// A column's distinct rendered values, before they are interned.
-struct ColumnValues {
-  text::StringDictionary distinct;
-  std::vector<uint64_t> hashes;  // Fnv1a64 of each, by local id
-};
-
-/// A column's sketch but for its dictionary ids: a pure function of the
-/// column and the options.
+/// A column's sketch but for its dictionary ids, its distinct rendered
+/// values counted into `values`: a pure function of the column.
 ColumnSketch BuildSketch(ColumnId id, const table::Table& t, size_t col,
-                         const CorpusOptions& options,
                          const text::MinHasher& minhasher,
                          const text::EmbeddingModel& embedder,
-                         ColumnValues* values) {
+                         text::StringCounter* values) {
   ColumnSketch sketch;
   sketch.id = id;
   sketch.table_name = t.name();
@@ -68,52 +60,46 @@ ColumnSketch BuildSketch(ColumnId id, const table::Table& t, size_t col,
   sketch.type = t.schema().field(col).type;
   sketch.name_tokens = text::Tokenize(sketch.column_name);
   sketch.name_grams = text::NameGrams(sketch.column_name);
-  sketch.profile =
-      ingest::Profiler::ProfileColumn(sketch.column_name, t.column(col));
+  sketch.row_count = t.column(col).size();
 
   // Distinct values + format histogram + numeric sample, the innermost loop
-  // of ingestion. A string cell is read in place; other cells render into
-  // one reused buffer. Each cell's hash serves the dedup probe here, the
+  // of ingestion. Each value's hash, taken once by the counter, serves the
   // MinHash below and the corpus dictionary's probe later.
   std::string rendered;
   for (const table::Value& v : t.column(col)) {
-    if (v.is_null()) continue;
-    const std::string& s =
-        v.is_string() ? v.as_string() : (rendered = v.ToString());
-    const uint64_t hash = Fnv1a64(s);
-    if (values->distinct.Intern(s, hash) != values->hashes.size()) continue;
-    values->hashes.push_back(hash);
+    if (v.is_null()) {
+      ++sketch.null_count;
+      continue;
+    }
+    const std::string_view s = v.Render(&rendered);
+    if (values->count(values->Add(s)) != 1) continue;
     ++sketch.format_histogram[FormatPattern(s)];
-    if (v.is_numeric() &&
-        sketch.numeric_values.size() < options.numeric_sample_cap) {
+    if (v.is_numeric() && sketch.numeric_values.size() < kNumericSampleCap) {
       sketch.numeric_values.push_back(v.as_double());
     }
   }
-  sketch.minhash = minhasher.ComputeFromHashes(values->hashes);
+  sketch.minhash = minhasher.ComputeFromHashes(values->hashes());
 
   // Embed a capped prefix of the distinct values (textual columns only —
   // embeddings of numbers carry no semantics).
   if (sketch.type == table::DataType::kString) {
     std::vector<std::string> tokens;
-    for (uint32_t i = 0; i < values->distinct.size(); ++i) {
-      if (tokens.size() >= options.embedding_token_cap) break;
-      for (std::string& tok : text::Tokenize(values->distinct[i])) {
+    for (uint32_t i = 0; i < values->size(); ++i) {
+      if (tokens.size() >= kEmbeddingTokenCap) break;
+      for (std::string& tok : text::Tokenize((*values)[i])) {
         tokens.push_back(std::move(tok));
       }
     }
     sketch.embedding = embedder.EmbedAll(tokens);
   } else {
-    sketch.embedding.assign(options.embedding_dim, 0.0);
+    sketch.embedding.assign(kEmbeddingDim, 0.0);
   }
   return sketch;
 }
 
 }  // namespace
 
-Corpus::Corpus(CorpusOptions options)
-    : options_(options),
-      minhasher_(options.minhash_size),
-      embedder_(options.embedding_dim) {}
+Corpus::Corpus() : minhasher_(kMinHashSize), embedder_(kEmbeddingDim) {}
 
 void Corpus::RegisterSemanticDomain(const std::string& domain,
                                     const std::vector<std::string>& tokens) {
@@ -170,7 +156,7 @@ Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
   // Parallel sketch building: each task writes exactly one pre-sized slot,
   // and BuildSketch reads only const state (tables_, minhasher_, embedder_),
   // so the result does not depend on the pool's size.
-  std::vector<ColumnValues> values(slots.size());
+  std::vector<text::StringCounter> values(slots.size());
   ParallelOptions par;
   par.pool = pool;
   LAKEKIT_RETURN_IF_ERROR(ParallelFor(
@@ -180,8 +166,8 @@ Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
         ColumnId id{static_cast<uint32_t>(slot.table_idx),
                     static_cast<uint32_t>(slot.col)};
         sketches_[first_sketch + i] =
-            BuildSketch(id, tables_[slot.table_idx], slot.col, options_,
-                        minhasher_, embedder_, &values[i]);
+            BuildSketch(id, tables_[slot.table_idx], slot.col, minhasher_,
+                        embedder_, &values[i]);
         return Status::OK();
       },
       par));
@@ -190,17 +176,17 @@ Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
   // follow (table, column, row) whatever the pool or the batching; the
   // hashes come from the parallel pass, and the table grows once.
   size_t incoming = 0;
-  for (const ColumnValues& column : values) incoming += column.hashes.size();
+  for (const text::StringCounter& column : values) incoming += column.size();
   dictionary_.Reserve(incoming);
   for (size_t i = 0; i < slots.size(); ++i) {
     sketches_[first_sketch + i].distinct_values =
-        dictionary_.InternAll(values[i].distinct, values[i].hashes);
+        dictionary_.InternAll(values[i].dictionary(), values[i].hashes());
   }
   // The column values are freed here, in parallel, by the pool.
   LAKEKIT_RETURN_IF_ERROR(ParallelFor(
       first_sketch, sketches_.size(),
       [&](size_t i) -> Status {
-        values[i - first_sketch] = ColumnValues();
+        values[i - first_sketch] = text::StringCounter();
         ColumnSketch& s = sketches_[i];
         s.sorted_values = s.distinct_values;
         std::sort(s.sorted_values.begin(), s.sorted_values.end());

@@ -9,7 +9,6 @@
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "ingest/profiler.h"
 #include "table/table.h"
 #include "text/dictionary.h"
 #include "text/embedding.h"
@@ -52,8 +51,9 @@ struct ColumnSketch {
   std::vector<uint32_t> sorted_values;
   /// MinHash signature of the value set (Aurum, D3L).
   text::MinHashSignature minhash;
-  /// Skluma/Aurum profile: cardinality, distribution stats, key-ness.
-  ingest::ColumnProfile profile;
+  /// Cells in the column, and how many of them are NULL.
+  size_t row_count = 0;
+  size_t null_count = 0;
   /// Lowercased attribute-name tokens (schema signal).
   std::vector<std::string> name_tokens;
   /// Packed name 3-grams (`text::NameGrams`): union search, D3L, Juneau.
@@ -68,6 +68,21 @@ struct ColumnSketch {
   text::DenseVector embedding;
 
   bool is_textual() const { return type == table::DataType::kString; }
+
+  /// `ingest::ColumnProfile`'s measures, with the distinct count read off
+  /// the value set: Aurum's key-ness filter and Juneau's null and key
+  /// signals.
+  double null_fraction() const {
+    return row_count == 0 ? 0.0
+                          : static_cast<double>(null_count) /
+                                static_cast<double>(row_count);
+  }
+  double uniqueness() const {
+    size_t non_null = row_count - null_count;
+    return non_null == 0 ? 0.0
+                         : static_cast<double>(sorted_values.size()) /
+                               static_cast<double>(non_null);
+  }
 };
 
 /// Exact overlap |A ∩ B| of two columns' distinct-value sets.
@@ -83,15 +98,15 @@ double ExactContainment(const ColumnSketch& a, const ColumnSketch& b);
 /// "AB-12" -> "a-d", "2024/01/02" -> "d/d/d".
 std::string FormatPattern(std::string_view value);
 
-/// Options controlling sketch construction.
-struct CorpusOptions {
-  size_t minhash_size = 128;
-  size_t embedding_dim = 64;
-  /// Cap on numeric values retained per column for KS tests.
-  size_t numeric_sample_cap = 2048;
-  /// Cap on embedded value tokens per column.
-  size_t embedding_token_cap = 256;
-};
+/// Sketch sizes, the same for every corpus.
+/// MinHash signature length: Aurum's and D3L's value LSH bands * rows.
+inline constexpr size_t kMinHashSize = 128;
+/// Embedding dimension: PEXESO's hyperplanes span it.
+inline constexpr size_t kEmbeddingDim = 64;
+/// Distinct numeric values retained per column for KS tests.
+inline constexpr size_t kNumericSampleCap = 2048;
+/// Value tokens embedded per column.
+inline constexpr size_t kEmbeddingTokenCap = 256;
 
 /// A lake-wide collection of tables with per-column sketches. All discovery
 /// methods (Aurum, JOSIE, D3L, PEXESO, union search, brute force) run over
@@ -99,7 +114,7 @@ struct CorpusOptions {
 /// apples.
 class Corpus {
  public:
-  explicit Corpus(CorpusOptions options = {});
+  Corpus();
 
   /// Ingests one table: `AddTables` with a one-table batch on the default
   /// pool. Returns the table index. Table names must be unique.
@@ -110,13 +125,13 @@ class Corpus {
   /// ThreadPool::Default(); a pool of size 1 is the serial opt-out). Returns
   /// the table indexes, in input order.
   ///
-  /// Determinism contract: each sketch is a pure function of its column and
-  /// the corpus options, and results are written to pre-sized slots, so
-  /// sketch order and every signature/embedding are bit-identical however
-  /// the tables are batched — one call or one per table — and whatever the
-  /// pool's size. Dictionary ids follow the first appearance of each value
-  /// over (table, column, row), assigned by one serial pass after the
-  /// parallel one, so they are bit-identical under the same conditions.
+  /// Determinism contract: each sketch is a pure function of its column,
+  /// and results are written to pre-sized slots, so sketch order and every
+  /// signature/embedding are bit-identical however the tables are batched —
+  /// one call or one per table — and whatever the pool's size. Dictionary
+  /// ids follow the first appearance of each value over (table, column,
+  /// row), assigned by one serial pass after the parallel one, so they are
+  /// bit-identical under the same conditions.
   ///
   /// Fails without side effects if any name is a duplicate (within the batch
   /// or against already-ingested tables). Not safe to call concurrently with
@@ -146,7 +161,6 @@ class Corpus {
   const text::StringDictionary& dictionary() const { return dictionary_; }
   const text::MinHasher& minhasher() const { return minhasher_; }
   const text::EmbeddingModel& embedder() const { return embedder_; }
-  const CorpusOptions& options() const { return options_; }
 
   /// Gives the embedder ground-truth domains (testing/benchmarks): tokens of
   /// one semantic domain embed close together.
@@ -154,7 +168,6 @@ class Corpus {
                               const std::vector<std::string>& tokens);
 
  private:
-  CorpusOptions options_;
   text::MinHasher minhasher_;
   text::EmbeddingModel embedder_;
   text::StringDictionary dictionary_;

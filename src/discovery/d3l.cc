@@ -14,8 +14,7 @@ D3lFinder::D3lFinder(const Corpus* corpus, D3lOptions options)
     : corpus_(corpus), options_(options) {}
 
 Status D3lFinder::Build(ThreadPool* pool) {
-  if (options_.lsh_bands * options_.lsh_rows !=
-      corpus_->options().minhash_size) {
+  if (options_.lsh_bands * options_.lsh_rows != kMinHashSize) {
     return Status::InvalidArgument(
         "value LSH bands*rows must equal corpus MinHash size");
   }

@@ -54,15 +54,14 @@ JuneauSignals JuneauFinder::ComputeSignals(size_t query_table,
       ++matched;
       best_null_improvement =
           std::max(best_null_improvement,
-                   q->profile.null_fraction() -
-                       cs[best_idx]->profile.null_fraction());
+                   q->null_fraction() - cs[best_idx]->null_fraction());
     }
     // Join signal: value overlap of *key-like* column pairs only. A
     // low-cardinality categorical pair ("label" with 3 values on both
     // sides) trivially reaches Jaccard 1 without meaning joinability.
-    if (q->profile.uniqueness() >= 0.5) {
+    if (q->uniqueness() >= 0.5) {
       for (const ColumnSketch* c : cs) {
-        if (c->profile.uniqueness() < 0.5) continue;
+        if (c->uniqueness() < 0.5) continue;
         best_value_overlap = std::max(
             best_value_overlap, q->minhash.EstimateJaccard(c->minhash));
       }

@@ -11,12 +11,11 @@ PexesoFinder::PexesoFinder(const Corpus* corpus, PexesoOptions options)
 
 void PexesoFinder::Build() {
   // Deterministic hyperplanes from the shared embedder's dimensionality.
-  const size_t dim = corpus_->options().embedding_dim;
   hyperplanes_.clear();
   for (size_t h = 0; h < options_.hyperplanes; ++h) {
-    text::DenseVector plane(dim);
+    text::DenseVector plane(kEmbeddingDim);
     uint64_t seed = Mix64(0x9e3779b9ULL + h);
-    for (size_t d = 0; d < dim; ++d) {
+    for (size_t d = 0; d < kEmbeddingDim; ++d) {
       seed = Mix64(seed + d);
       plane[d] = (static_cast<double>(seed >> 11) * 0x1.0p-53) * 2.0 - 1.0;
     }

@@ -4,7 +4,9 @@
 #include <cctype>
 #include <unordered_map>
 
+#include "common/hash.h"
 #include "common/string_util.h"
+#include "text/dictionary.h"
 
 namespace lakekit::ingest {
 
@@ -118,16 +120,16 @@ std::vector<LogTemplate> LogTemplateExtractor::Extract(
   }
   // Re-deduplicate templates made identical by refinement.
   {
-    std::unordered_map<std::string, size_t> index;
+    // Pattern ids are first-seen positions in `deduped`.
+    text::StringDictionary patterns;
     std::vector<LogTemplate> deduped;
     for (LogTemplate& t : templates) {
-      std::string key = t.Pattern();
-      auto it = index.find(key);
-      if (it == index.end()) {
-        index[key] = deduped.size();
+      const std::string key = t.Pattern();
+      const uint32_t id = patterns.Intern(key, Fnv1a64(key));
+      if (id == deduped.size()) {
         deduped.push_back(std::move(t));
       } else {
-        deduped[it->second].support += t.support;
+        deduped[id].support += t.support;
       }
     }
     templates = std::move(deduped);

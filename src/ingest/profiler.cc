@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/string_util.h"
 #include "ingest/format_detect.h"
 #include "json/parser.h"
+#include "text/dictionary.h"
 #include "text/tokenize.h"
 
 namespace lakekit::ingest {
@@ -28,30 +28,24 @@ ColumnProfile Profiler::ProfileColumn(std::string name,
                             [](const Value& v) { return !v.is_null(); });
   p.type = first == values.end() ? DataType::kString : first->type();
 
-  std::unordered_map<std::string, size_t> counts;
+  text::StringCounter counts;
+  std::string rendered;
   double sum = 0;
   double sq_sum = 0;
   size_t numeric_count = 0;
   size_t string_length_sum = 0;
   size_t string_count = 0;
-  bool first_numeric = true;
 
   for (const Value& v : values) {
     if (v.is_null()) {
       ++p.null_count;
       continue;
     }
-    ++counts[v.ToString()];
+    counts.Add(v.Render(&rendered));
     if (v.is_numeric()) {
-      double d = v.as_double();
-      if (first_numeric) {
-        p.min = d;
-        p.max = d;
-        first_numeric = false;
-      } else {
-        p.min = std::min(p.min, d);
-        p.max = std::max(p.max, d);
-      }
+      const double d = v.as_double();
+      p.min = numeric_count == 0 ? d : std::min(p.min, d);
+      p.max = numeric_count == 0 ? d : std::max(p.max, d);
       sum += d;
       sq_sum += d * d;
       ++numeric_count;
@@ -76,14 +70,9 @@ ColumnProfile Profiler::ProfileColumn(std::string name,
   p.is_candidate_key =
       non_null > 0 && p.null_count == 0 && p.distinct_count == non_null;
 
-  std::vector<std::pair<std::string, size_t>> freq(counts.begin(),
-                                                   counts.end());
-  std::sort(freq.begin(), freq.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (freq.size() > top_k) freq.resize(top_k);
-  p.top_values = std::move(freq);
+  for (uint32_t id : counts.TopK(top_k)) {
+    p.top_values.emplace_back(std::string(counts[id]), counts.count(id));
+  }
   return p;
 }
 
@@ -104,23 +93,15 @@ std::vector<std::string> Profiler::ExtractKeywords(std::string_view content,
       "the", "a",  "an",  "of", "to",  "in",  "and", "or",  "is",  "are",
       "for", "on", "at",  "by", "with", "from", "as", "it",  "this", "that",
       "was", "be", "has", "had", "not", "but",  "if", "then", "else"};
-  std::unordered_map<std::string, size_t> counts;
+  text::StringCounter counts;
   for (const std::string& token : text::Tokenize(content)) {
     if (token.size() < 3) continue;
     if (kStopwords.count(token) > 0) continue;
     if (LooksLikeInteger(token)) continue;
-    ++counts[token];
+    counts.Add(token);
   }
-  std::vector<std::pair<std::string, size_t>> freq(counts.begin(),
-                                                   counts.end());
-  std::sort(freq.begin(), freq.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
   std::vector<std::string> keywords;
-  for (size_t i = 0; i < freq.size() && i < k; ++i) {
-    keywords.push_back(freq[i].first);
-  }
+  for (uint32_t id : counts.TopK(k)) keywords.emplace_back(counts[id]);
   return keywords;
 }
 

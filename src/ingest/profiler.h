@@ -28,7 +28,8 @@ struct ColumnProfile {
   double stddev = 0;
   /// String columns only.
   double avg_length = 0;
-  /// Most frequent non-null values (value, count), descending.
+  /// Most frequent non-null values (value, count): count descending, ties
+  /// by value bytes ascending.
   std::vector<std::pair<std::string, size_t>> top_values;
   /// True when every non-null value is distinct and nulls are absent —
   /// a candidate (primary) key.
@@ -99,7 +100,7 @@ class Profiler {
                                          std::string_view content);
 
   /// Top-k content keywords: most frequent word tokens, stopwords and pure
-  /// numbers removed.
+  /// numbers removed; ties by token bytes ascending.
   static std::vector<std::string> ExtractKeywords(std::string_view text,
                                                   size_t k = 10);
 };

@@ -38,14 +38,10 @@ Status CheckInterrupt(const ExecOptions& opts) {
 
 namespace {
 
+/// Interruption is not the pool's: every operator lambda runs
+/// `CheckInterrupt` before its morsel.
 ParallelOptions PoolOptions(const ExecOptions& opts) {
-  ParallelOptions po;
-  po.pool = opts.pool;
-  // Chunk-level interruption in ParallelFor is a backstop; the per-morsel
-  // CheckInterrupt in each operator lambda is the finer-grained gate.
-  po.cancel = opts.cancel;
-  po.deadline = opts.deadline;
-  return po;
+  return {.pool = opts.pool};
 }
 
 /// Morsel m covers input rows [MorselBegin(m), MorselEnd(m, rows)).

@@ -67,6 +67,14 @@ class Value {
   /// Renders the value for CSV/debug output. NULL renders as "".
   std::string ToString() const;
 
+  /// `ToString()`'s text without copying a string cell: its own bytes, or
+  /// any other cell rendered into `*buffer`, which callers reuse across
+  /// cells. Valid until this value or `*buffer` changes.
+  std::string_view Render(std::string* buffer) const {
+    if (const std::string* s = get_string()) return *s;
+    return *buffer = ToString();
+  }
+
   /// Total order: NULL < bool < numeric < string; numerics compare by value
   /// across int64/double.
   bool operator==(const Value& other) const;

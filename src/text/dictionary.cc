@@ -1,5 +1,8 @@
 #include "text/dictionary.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/hash.h"
 
 namespace lakekit::text {
@@ -75,6 +78,30 @@ void StringDictionary::Rehash(size_t slots) {
     while (slots_[i] != 0) i = (i + 1) & mask;
     slots_[i] = slot;
   }
+}
+
+uint32_t StringCounter::Add(std::string_view s) {
+  const uint64_t hash = Fnv1a64(s);
+  const uint32_t id = dictionary_.Intern(s, hash);
+  if (id == counts_.size()) {
+    hashes_.push_back(hash);
+    counts_.push_back(0);
+  }
+  ++counts_[id];
+  return id;
+}
+
+std::vector<uint32_t> StringCounter::TopK(size_t k) const {
+  std::vector<uint32_t> ids(size());
+  std::iota(ids.begin(), ids.end(), 0);
+  auto before = [this](uint32_t a, uint32_t b) {
+    return counts_[a] != counts_[b] ? counts_[a] > counts_[b]
+                                    : dictionary_[a] < dictionary_[b];
+  };
+  const auto top = ids.begin() + static_cast<ptrdiff_t>(std::min(k, size()));
+  std::partial_sort(ids.begin(), top, ids.end(), before);
+  ids.erase(top, ids.end());
+  return ids;
 }
 
 }  // namespace lakekit::text

@@ -57,6 +57,33 @@ class StringDictionary {
   std::vector<uint64_t> slots_;
 };
 
+/// Counts strings: each distinct string is interned once in a
+/// `StringDictionary` (ids in first-seen order) and stored with its
+/// `Fnv1a64` hash and its count. Column profiles, content keywords and
+/// column sketches all count through it.
+class StringCounter {
+ public:
+  /// Counts one occurrence of `s` and returns its id; the id is new when
+  /// its count is 1.
+  uint32_t Add(std::string_view s);
+
+  /// Ids of the `k` most frequent strings: count descending, then bytes
+  /// ascending, found by partial sort.
+  std::vector<uint32_t> TopK(size_t k) const;
+
+  std::string_view operator[](uint32_t id) const { return dictionary_[id]; }
+  size_t count(uint32_t id) const { return counts_[id]; }
+  size_t size() const { return counts_.size(); }
+  /// The distinct strings, and their `Fnv1a64` hashes, by id.
+  const StringDictionary& dictionary() const { return dictionary_; }
+  const std::vector<uint64_t>& hashes() const { return hashes_; }
+
+ private:
+  StringDictionary dictionary_;
+  std::vector<uint64_t> hashes_;
+  std::vector<size_t> counts_;
+};
+
 }  // namespace lakekit::text
 
 #endif  // LAKEKIT_TEXT_DICTIONARY_H_

@@ -185,6 +185,72 @@ std::vector<std::string> Serialized(const std::vector<DatasetEntry>& entries) {
   return out;
 }
 
+// Each mutation is one committed batch: the clock, the current entry and
+// the history record (or, for Remove, every deletion). A copy of the store
+// reopened after a Register, an Update and a Remove reads back the same
+// entries, histories and versions, and stamps the next registration as the
+// live catalog does.
+TEST_F(CatalogTest, ReopenAfterEachMutationMatchesTheLiveCatalog) {
+  auto live = Catalog::Open(dir_);
+  ASSERT_TRUE(live.ok());
+  const std::string copy = dir_ + "_copy";
+  auto expect_same = [&](const std::vector<std::string>& names) {
+    // The live store stays open; its committed files are copied, as a crash
+    // right after the last mutation would leave them.
+    fs::remove_all(copy);
+    fs::copy(dir_, copy, fs::copy_options::recursive);
+    auto reopened = Catalog::Open(copy);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ(reopened->ListDatasets(), live->ListDatasets());
+    for (const std::string& name : names) {
+      SCOPED_TRACE(name);
+      Result<DatasetEntry> a = live->Get(name);
+      Result<DatasetEntry> b = reopened->Get(name);
+      ASSERT_EQ(a.ok(), b.ok());
+      if (a.ok()) {
+        EXPECT_EQ(json::Write(a->ToJson()), json::Write(b->ToJson()));
+      }
+      auto ha = live->History(name);
+      auto hb = reopened->History(name);
+      ASSERT_EQ(ha.ok(), hb.ok());
+      if (!ha.ok()) continue;
+      EXPECT_EQ(Serialized(*ha), Serialized(*hb));
+      for (const DatasetEntry& e : *ha) {
+        auto va = live->GetVersion(name, e.version);
+        auto vb = reopened->GetVersion(name, e.version);
+        ASSERT_TRUE(va.ok());
+        ASSERT_TRUE(vb.ok());
+        EXPECT_EQ(json::Write(va->ToJson()), json::Write(vb->ToJson()));
+      }
+    }
+    ASSERT_TRUE(reopened->Register(MakeEntry("probe")).ok());
+    ASSERT_TRUE(live->Register(MakeEntry("probe")).ok());
+    EXPECT_EQ(reopened->Get("probe")->created_at,
+              live->Get("probe")->created_at);
+    ASSERT_TRUE(live->Remove("probe").ok());
+  };
+
+  ASSERT_TRUE(live->Register(MakeEntry("a")).ok());
+  ASSERT_TRUE(live->Register(MakeEntry("b")).ok());
+  expect_same({"a", "b"});
+
+  DatasetEntry a2 = MakeEntry("a");
+  a2.description = "rev 2";
+  ASSERT_TRUE(live->Update(a2).ok());
+  EXPECT_EQ(live->Get("a")->created_at, 1);
+  EXPECT_EQ(live->Get("a")->updated_at, 4);  // 3 went to the probe
+  EXPECT_EQ(live->History("a")->size(), 2u);
+  expect_same({"a", "b", "probe"});
+
+  ASSERT_TRUE(live->Remove("a").ok());
+  EXPECT_TRUE(live->History("a").status().IsNotFound());
+  EXPECT_TRUE(live->GetVersion("a", 1).status().IsNotFound());
+  expect_same({"a", "b"});
+  ASSERT_TRUE(live->Update(MakeEntry("b")).ok());
+  expect_same({"a", "b"});
+  fs::remove_all(copy);
+}
+
 // The in-memory entries are what the store holds: after a mix of
 // registrations, updates, removals and a refused duplicate, a catalog
 // reopened from disk answers every read exactly as the live one does.

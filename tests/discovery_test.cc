@@ -85,7 +85,10 @@ TEST_F(DiscoveryTest, SketchContents) {
   const ColumnSketch& id_sketch = corpus_->sketch(Col("table0", "id"));
   EXPECT_EQ(id_sketch.type, table::DataType::kInt64);
   EXPECT_EQ(id_sketch.distinct_values.size(), 100u);
-  EXPECT_TRUE(id_sketch.profile.is_candidate_key);
+  // A candidate key: no NULL, and every value distinct.
+  EXPECT_EQ(id_sketch.row_count, 100u);
+  EXPECT_EQ(id_sketch.null_count, 0u);
+  EXPECT_DOUBLE_EQ(id_sketch.uniqueness(), 1.0);
   EXPECT_FALSE(id_sketch.numeric_values.empty());
 
   const ColumnSketch& attr = corpus_->sketch(Col("table0", "attr0"));
@@ -860,9 +863,8 @@ TEST(CorpusParallelTest, ParallelBuildMatchesSerialBitForBit) {
       EXPECT_EQ(p.format_histogram, s.format_histogram);
       EXPECT_EQ(p.numeric_values, s.numeric_values);
       EXPECT_EQ(p.name_tokens, s.name_tokens);
-      EXPECT_EQ(p.profile.distinct_count, s.profile.distinct_count);
-      EXPECT_EQ(p.profile.null_count, s.profile.null_count);
-      EXPECT_EQ(p.profile.is_candidate_key, s.profile.is_candidate_key);
+      EXPECT_EQ(p.row_count, s.row_count);
+      EXPECT_EQ(p.null_count, s.null_count);
     }
   }
 }

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
+#include <string>
 
 #include "common/cancellation.h"
 #include "common/circuit_breaker.h"
 #include "common/deadline.h"
 #include "common/thread_pool.h"
+#include "query/operators.h"
+#include "query/vec.h"
+#include "query/zone_map.h"
+#include "table/table.h"
 
 namespace lakekit {
 namespace {
@@ -183,123 +187,98 @@ TEST(CircuitBreakerTest, ProbeFailureReopensForAFullCooldown) {
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
 }
 
-// ----------------------------------------------- ParallelFor interruption
+// ------------------------------------------------- operator interruption
+//
+// Interruption is checked once per morsel, inside each operator: a
+// cancelled token or an expired deadline stops the operator before it
+// touches a row, on any input size and pool size.
 
-TEST(ParallelForInterruptTest, CancelledTokenSkipsAllChunks) {
-  ThreadPool pool(4);
-  CancelSource source;
-  source.Cancel(Status::Aborted("caller gave up"));
-
-  std::atomic<size_t> ran{0};
-  ParallelOptions options;
-  options.pool = &pool;
-  options.grain = 1;
-  options.cancel = source.token();
-  Status s = ParallelFor(
-      0, 64,
-      [&](size_t) -> Status {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      },
-      options);
-  EXPECT_TRUE(s.IsAborted());
-  EXPECT_EQ(s.message(), "caller gave up");
-  EXPECT_EQ(ran.load(), 0u);
+/// `morsels` morsels of rows: an int64 key `k` (unique), a small int64
+/// group `g` and a double measure `v`.
+table::Table MorselTable(size_t morsels) {
+  table::Table t("t", table::Schema({{"k", table::DataType::kInt64},
+                                     {"g", table::DataType::kInt64},
+                                     {"v", table::DataType::kDouble}}));
+  const size_t rows = (morsels - 1) * query::kMorselSize + 7;
+  for (size_t r = 0; r < rows; ++r) {
+    const auto i = static_cast<int64_t>(r);
+    EXPECT_TRUE(t.AppendRow({table::Value(i), table::Value(i % 5),
+                             table::Value(static_cast<double>(i) * 0.5)})
+                    .ok());
+  }
+  return t;
 }
 
-TEST(ParallelForInterruptTest, ExpiredDeadlineSkipsAllChunks) {
-  ThreadPool pool(4);
-  ManualClock clock;
-  Deadline deadline = Deadline::After(std::chrono::milliseconds(5), &clock);
-  clock.Advance(std::chrono::milliseconds(5));
+/// Runs `op` under a cancelled token and under an expired deadline, on 1-
+/// and 3-morsel inputs, at pool sizes 1 and 4: it must return the token's
+/// status and kDeadlineExceeded.
+template <typename Op>
+void ExpectInterrupted(const Op& op) {
+  for (size_t morsels : {1u, 3u}) {
+    const table::Table t = MorselTable(morsels);
+    ASSERT_EQ(query::NumMorsels(t.num_rows()), morsels);
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(morsels) + " morsels, " +
+                   std::to_string(threads) + " threads");
+      ThreadPool pool(threads);
+      CancelSource source;
+      source.Cancel(Status::Aborted("caller gave up"));
+      query::ExecOptions cancelled;
+      cancelled.pool = &pool;
+      cancelled.cancel = source.token();
+      Status s = op(t, cancelled);
+      EXPECT_TRUE(s.IsAborted()) << s.ToString();
+      EXPECT_EQ(s.message(), "caller gave up");
 
-  std::atomic<size_t> ran{0};
-  ParallelOptions options;
-  options.pool = &pool;
-  options.grain = 1;
-  options.deadline = deadline;
-  Status s = ParallelFor(
-      0, 64,
-      [&](size_t) -> Status {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      },
-      options);
-  EXPECT_TRUE(s.IsDeadlineExceeded());
-  EXPECT_EQ(ran.load(), 0u);
-}
-
-TEST(ParallelForInterruptTest, MidRunCancellationShedsWorkOrCompletes) {
-  // Chunk 0 (run inline by the caller) cancels the token; chunks the
-  // workers had not yet started observe the flag and are skipped. The
-  // exact shed count races with the workers, so the invariant is
-  // two-sided: either cancellation was observed (Aborted, strictly fewer
-  // iterations than submitted) or every chunk had already started (OK,
-  // all iterations ran).
-  ThreadPool pool(2);
-  CancelSource source;
-  std::atomic<size_t> ran{0};
-  ParallelOptions options;
-  options.pool = &pool;
-  options.grain = 1;
-  options.cancel = source.token();
-  const size_t n = 512;
-  Status s = ParallelFor(
-      0, n,
-      [&](size_t i) -> Status {
-        if (i == 0) source.Cancel();
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      },
-      options);
-  if (s.ok()) {
-    EXPECT_EQ(ran.load(), n);
-  } else {
-    EXPECT_TRUE(s.IsAborted());
-    EXPECT_LT(ran.load(), n);
+      ManualClock clock;
+      query::ExecOptions expired;
+      expired.pool = &pool;
+      expired.deadline = Deadline::After(milliseconds(5), &clock);
+      clock.Advance(milliseconds(5));
+      s = op(t, expired);
+      EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
+    }
   }
 }
 
-TEST(ParallelForInterruptTest, ChunkErrorOutranksInterruption) {
-  // Index 0 fails *and* the token is cancelled: the deterministic
-  // lowest-chunk error must win over the interruption status.
-  ThreadPool pool(4);
-  CancelSource source;
-  ParallelOptions options;
-  options.pool = &pool;
-  options.grain = 1;
-  options.cancel = source.token();
-  Status s = ParallelFor(
-      0, 64,
-      [&](size_t i) -> Status {
-        if (i == 0) {
-          source.Cancel();
-          return Status::Internal("bad index 0");
-        }
-        return Status::OK();
-      },
-      options);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.message(), "bad index 0");
+query::ExprPtr PositiveV() {
+  return query::Expr::Compare(query::CmpOp::kGt, query::Expr::Column("v"),
+                              query::Expr::Literal(table::Value(0.0)));
 }
 
-TEST(ParallelForInterruptTest, SingleChunkPathHonorsTheToken) {
-  CancelSource source;
-  source.Cancel();
-  // One chunk (n <= grain): the inline fast path must also check the token.
-  ParallelOptions options;
-  options.grain = 100;
-  options.cancel = source.token();
-  std::atomic<size_t> ran{0};
-  Status s = ParallelFor(
-      0, 4,
-      [&](size_t) -> Status {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      },
-      options);
-  EXPECT_TRUE(s.IsAborted());
-  EXPECT_EQ(ran.load(), 0u);
+TEST(OperatorInterruptTest, Filter) {
+  ExpectInterrupted([](const table::Table& t, const query::ExecOptions& o) {
+    return query::Filter(t, *PositiveV(), o).status();
+  });
+}
+
+TEST(OperatorInterruptTest, FilterWithZones) {
+  ExpectInterrupted([](const table::Table& t, const query::ExecOptions& o) {
+    const query::ZoneMap zones = query::ZoneMap::Build(t);
+    query::FilterExecStats stats;
+    return query::Filter(t, *PositiveV(), &zones, o, &stats).status();
+  });
+}
+
+TEST(OperatorInterruptTest, HashJoin) {
+  ExpectInterrupted([](const table::Table& t, const query::ExecOptions& o) {
+    return query::HashJoin(t, t, "k", "k", query::JoinType::kInner, o)
+        .status();
+  });
+}
+
+TEST(OperatorInterruptTest, Aggregate) {
+  ExpectInterrupted([](const table::Table& t, const query::ExecOptions& o) {
+    return query::Aggregate(t, {"g"},
+                            {{query::AggFn::kSum, "v", "total"}}, o)
+        .status();
+  });
+}
+
+TEST(OperatorInterruptTest, Sort) {
+  ExpectInterrupted([](const table::Table& t, const query::ExecOptions& o) {
+    return query::Sort(t, "v", /*ascending=*/true, o).status();
+  });
 }
 
 }  // namespace
