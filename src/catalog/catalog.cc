@@ -25,6 +25,23 @@ std::string HistoryKey(std::string_view name, uint64_t version) {
   return "hist/" + std::string(name) + "/" + buf;
 }
 
+/// The history records of `name` alone. A scan of "hist/<name>/" also
+/// returns those of datasets named "<name>/...", whose remainder after the
+/// prefix holds a '/'; this dataset's remainder is its version's digits.
+Result<std::vector<std::pair<std::string, std::string>>> ScanHistory(
+    const storage::KvStore& store, std::string_view name) {
+  const std::string prefix = "hist/" + std::string(name) + "/";
+  LAKEKIT_ASSIGN_OR_RETURN(auto pairs, store.ScanPrefix(prefix));
+  std::erase_if(pairs, [&prefix](const auto& pair) {
+    const std::string_view version =
+        std::string_view(pair.first).substr(prefix.size());
+    return version.empty() ||
+           !std::all_of(version.begin(), version.end(),
+                        [](char c) { return c >= '0' && c <= '9'; });
+  });
+  return pairs;
+}
+
 Status NotCataloged(std::string_view name) {
   return Status::NotFound("dataset '" + std::string(name) + "' not cataloged");
 }
@@ -178,8 +195,7 @@ Result<DatasetEntry> Catalog::GetVersion(std::string_view name,
 
 Result<std::vector<DatasetEntry>> Catalog::History(
     std::string_view name) const {
-  LAKEKIT_ASSIGN_OR_RETURN(
-      auto pairs, store_->ScanPrefix("hist/" + std::string(name) + "/"));
+  LAKEKIT_ASSIGN_OR_RETURN(auto pairs, ScanHistory(*store_, name));
   std::vector<DatasetEntry> out;
   for (const auto& [key, payload] : pairs) {
     LAKEKIT_ASSIGN_OR_RETURN(json::Value v, json::Parse(payload));
@@ -196,8 +212,7 @@ Result<std::vector<DatasetEntry>> Catalog::History(
 Status Catalog::Remove(std::string_view name) {
   auto it = current_.find(name);
   if (it == current_.end()) return NotCataloged(name);
-  LAKEKIT_ASSIGN_OR_RETURN(
-      auto pairs, store_->ScanPrefix("hist/" + std::string(name) + "/"));
+  LAKEKIT_ASSIGN_OR_RETURN(auto pairs, ScanHistory(*store_, name));
   storage::WriteBatch batch;
   batch.Delete(EntryKey(name));
   for (const auto& [key, payload] : pairs) batch.Delete(key);

@@ -11,8 +11,14 @@ namespace lakekit {
 uint64_t Fnv1a64(std::string_view data);
 
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer. Useful to derive
-/// independent hash families: Mix64(seed ^ base_hash).
-uint64_t Mix64(uint64_t x);
+/// independent hash families: Mix64(seed ^ base_hash). Inline: MinHash and
+/// the embeddings call it once per (value, hash function).
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Combines two 64-bit hashes (order dependent).
 inline uint64_t HashCombine(uint64_t a, uint64_t b) {

@@ -1,6 +1,7 @@
 #ifndef LAKEKIT_DISCOVERY_UNION_SEARCH_H_
 #define LAKEKIT_DISCOVERY_UNION_SEARCH_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "discovery/common.h"
@@ -40,6 +41,15 @@ struct UnionMatch {
 /// a value-domain signal (MinHash Jaccard)
 /// and a semantic signal (embedding cosine); table unionability is the mean
 /// aligned-attribute score scaled by alignment coverage.
+///
+/// Queries read a scoring index built at construction, as JOSIE's is by
+/// `Build`: construct it once the corpus is complete, since tables added
+/// later are not searched. An attribute pair whose score cannot reach
+/// attribute_threshold, bounded from its types, its embeddings' zeroness
+/// and its name and value signals, is skipped before its remaining
+/// signals; every other pair is scored by the one formula, so alignments,
+/// scores and rankings are those of scoring every pair. The queries are
+/// const and keep their scratch per call, so they may run concurrently.
 class UnionSearch {
  public:
   UnionSearch(const Corpus* corpus, UnionSearchOptions options = {});
@@ -59,8 +69,40 @@ class UnionSearch {
                                               size_t k) const;
 
  private:
+  /// One call's state for one query table (union_search.cc).
+  struct Query;
+
+  /// The one scoring formula over the three signals.
+  double Score(double name, double values, double embedding,
+               bool same_type) const;
+  Query StartQuery(size_t query_table) const;
+  /// The kernel both queries share: appends the query's alignment with one
+  /// table to `out`.
+  void Align(Query* query, size_t candidate_table,
+             std::vector<AttributeAlignment>* out) const;
+
+  /// What the index holds per column (an index into corpus sketches).
+  struct Column {
+    table::DataType type = table::DataType::kString;
+    /// Whether the embedding has a nonzero norm, by `CosineSimilarity`'s
+    /// own test: a cosine with a zero embedding is 0.
+    bool nonzero_embedding = false;
+    /// Shared by every column with equal name grams.
+    uint32_t name_id = 0;
+  };
+
   const Corpus* corpus_;
   UnionSearchOptions options_;
+  /// A pair whose score bound is below this cannot reach
+  /// attribute_threshold: the threshold less a rounding margin.
+  double floor_ = 0;
+  /// Table t's columns are [table_begin_[t], table_begin_[t + 1]).
+  std::vector<size_t> table_begin_;
+  std::vector<Column> columns_;
+  /// The distinct name-gram sets, by name id.
+  std::vector<std::vector<uint32_t>> names_;
+  /// Every column's MinHash signature, kMinHashSize values each.
+  std::vector<uint64_t> minhashes_;
 };
 
 }  // namespace lakekit::discovery

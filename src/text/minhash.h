@@ -2,11 +2,17 @@
 #define LAKEKIT_TEXT_MINHASH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace lakekit::text {
+
+/// Positions at which two hash arrays agree, over the shorter one's length:
+/// the count behind every signature compare. Branch-free, and vectorized by
+/// gcc at -O2 and -O3 on baseline x86-64.
+size_t CountEqual(std::span<const uint64_t> a, std::span<const uint64_t> b);
 
 /// A MinHash signature: `k` independent minimum hash values of a set.
 ///

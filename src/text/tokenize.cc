@@ -55,6 +55,12 @@ std::vector<uint32_t> NameGrams(std::string_view input) {
 
 size_t SortedOverlap(const std::vector<uint32_t>& a,
                      const std::vector<uint32_t>& b) {
+  // Disjoint id ranges share nothing. Dictionary ids follow first
+  // appearance, so columns that share no value mostly end here.
+  if (a.empty() || b.empty() || a.back() < b.front() ||
+      b.back() < a.front()) {
+    return 0;
+  }
   size_t overlap = 0;
   auto it = a.begin();
   auto jt = b.begin();

@@ -128,6 +128,41 @@ TEST_F(CatalogTest, RemoveErasesHistory) {
   EXPECT_TRUE(catalog->Remove("x").IsNotFound());
 }
 
+// A dataset's history holds its own records only, not those of a dataset
+// whose name continues it with '/', live and after a reopen.
+TEST_F(CatalogTest, HistoryAndRemoveKeepNestedNamesApart) {
+  const auto versions = [](const Result<std::vector<DatasetEntry>>& h) {
+    std::vector<std::pair<std::string, uint64_t>> out;
+    if (h.ok()) {
+      for (const DatasetEntry& e : *h) out.emplace_back(e.name, e.version);
+    }
+    return out;
+  };
+  using Versions = std::vector<std::pair<std::string, uint64_t>>;
+  {
+    auto catalog = Catalog::Open(dir_);
+    ASSERT_TRUE(catalog.ok());
+    ASSERT_TRUE(catalog->Register(MakeEntry("a")).ok());
+    ASSERT_TRUE(catalog->Register(MakeEntry("a/b")).ok());
+    ASSERT_TRUE(catalog->Update(MakeEntry("a/b")).ok());
+    EXPECT_EQ(versions(catalog->History("a")), (Versions{{"a", 1}}));
+    EXPECT_EQ(versions(catalog->History("a/b")),
+              (Versions{{"a/b", 1}, {"a/b", 2}}));
+    ASSERT_TRUE(catalog->Remove("a").ok());
+    EXPECT_TRUE(catalog->History("a").status().IsNotFound());
+    EXPECT_TRUE(catalog->Get("a/b").ok());
+    EXPECT_EQ(versions(catalog->History("a/b")),
+              (Versions{{"a/b", 1}, {"a/b", 2}}));
+  }
+  auto reopened = Catalog::Open(dir_);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened->ListDatasets(), std::vector<std::string>{"a/b"});
+  EXPECT_TRUE(reopened->History("a").status().IsNotFound());
+  EXPECT_EQ(versions(reopened->History("a/b")),
+            (Versions{{"a/b", 1}, {"a/b", 2}}));
+  EXPECT_EQ(reopened->GetVersion("a/b", 2)->version, 2u);
+}
+
 TEST_F(CatalogTest, ListDatasetsSorted) {
   auto catalog = Catalog::Open(dir_);
   ASSERT_TRUE(catalog->Register(MakeEntry("zebra")).ok());

@@ -153,6 +153,13 @@ TEST(HashTest, Mix64Bijective) {
   }
 }
 
+TEST(HashTest, Mix64MatchesSplitMix64) {
+  // SplitMix64's published first outputs from seed 0: the state advances by
+  // the golden-ratio step inside Mix64, so Mix64(k * step) is output k + 1.
+  EXPECT_EQ(Mix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(Mix64(0x9e3779b97f4a7c15ULL), 0x6e789e6aa1b965f4ULL);
+}
+
 TEST(HashTest, HashCombineOrderDependent) {
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "discovery/aurum.h"
@@ -549,13 +550,61 @@ TEST(UnionSearchTest, AlignmentIsOneToOne) {
   }
 }
 
+// The queries are const and keep their scratch per call, so callers on
+// several threads get the answers one thread gets.
+TEST(UnionSearchTest, ConcurrentQueriesMatchSerial) {
+  workload::UnionableLakeOptions options;
+  options.num_groups = 3;
+  options.tables_per_group = 3;
+  options.rows_per_table = 40;
+  const workload::UnionableLake lake = workload::MakeUnionableLake(options);
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddTables(lake.tables).ok());
+  const UnionSearch search(&corpus);
+  const size_t n = corpus.num_tables();
+  std::vector<std::vector<UnionMatch>> serial(n);
+  for (size_t q = 0; q < n; ++q) serial[q] = search.TopKUnionableTables(q, n);
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::vector<UnionMatch>>> got(
+      kThreads, std::vector<std::vector<UnionMatch>>(n));
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&search, &got, n, w] {
+      for (size_t round = 0; round < 5; ++round) {
+        for (size_t i = 0; i < n; ++i) {
+          const size_t q = (i + w) % n;
+          got[w][q] = search.TopKUnionableTables(q, n);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t w = 0; w < kThreads; ++w) {
+    for (size_t q = 0; q < n; ++q) {
+      ASSERT_EQ(got[w][q].size(), serial[q].size());
+      for (size_t i = 0; i < serial[q].size(); ++i) {
+        EXPECT_EQ(got[w][q][i].table_idx, serial[q][i].table_idx);
+        EXPECT_EQ(got[w][q][i].score, serial[q][i].score);
+        ASSERT_EQ(got[w][q][i].alignment.size(),
+                  serial[q][i].alignment.size());
+        for (size_t j = 0; j < serial[q][i].alignment.size(); ++j) {
+          EXPECT_EQ(got[w][q][i].alignment[j].candidate_column,
+                    serial[q][i].alignment[j].candidate_column);
+          EXPECT_EQ(got[w][q][i].alignment[j].score,
+                    serial[q][i].alignment[j].score);
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ string oracles
 
 // Union search as it scored before sketches held packed name grams: the
 // name signal from string q-grams per attribute pair, everything else as
 // UnionSearch documents it. Kept as the oracle of the precomputed form.
-double OracleUnionability(const Corpus& corpus, ColumnId a, ColumnId b) {
-  const UnionSearchOptions options;
+double OracleUnionability(const Corpus& corpus, ColumnId a, ColumnId b,
+                          const UnionSearchOptions& options = {}) {
   const ColumnSketch& sa = corpus.sketch(a);
   const ColumnSketch& sb = corpus.sketch(b);
   double name = oracle::StringGramJaccard(sa.column_name, sb.column_name);
@@ -568,9 +617,9 @@ double OracleUnionability(const Corpus& corpus, ColumnId a, ColumnId b) {
   return score;
 }
 
-std::vector<UnionMatch> OracleTopKUnionable(const Corpus& corpus,
-                                            size_t query_table, size_t k) {
-  const UnionSearchOptions options;
+std::vector<UnionMatch> OracleTopKUnionable(
+    const Corpus& corpus, size_t query_table, size_t k,
+    const UnionSearchOptions& options = {}) {
   std::vector<UnionMatch> out;
   const std::vector<const ColumnSketch*> qs =
       corpus.TableSketches(query_table);
@@ -585,7 +634,8 @@ std::vector<UnionMatch> OracleTopKUnionable(const Corpus& corpus,
     std::vector<Scored> pairs;
     for (size_t i = 0; i < qs.size(); ++i) {
       for (size_t j = 0; j < cs.size(); ++j) {
-        double score = OracleUnionability(corpus, qs[i]->id, cs[j]->id);
+        double score =
+            OracleUnionability(corpus, qs[i]->id, cs[j]->id, options);
         if (score >= options.attribute_threshold) {
           pairs.push_back(Scored{i, j, score});
         }
@@ -626,14 +676,15 @@ std::vector<UnionMatch> OracleTopKUnionable(const Corpus& corpus,
 /// Every table's full unionability ranking equals the oracle's, scores bit
 /// for bit.
 void ExpectUnionSearchMatchesOracle(const Corpus& corpus,
-                                    const std::vector<size_t>& queries) {
-  UnionSearch search(&corpus);
+                                    const std::vector<size_t>& queries,
+                                    const UnionSearchOptions& options = {}) {
+  UnionSearch search(&corpus, options);
   for (size_t q : queries) {
     SCOPED_TRACE("query table " + corpus.table(q).name());
     const std::vector<UnionMatch> got =
         search.TopKUnionableTables(q, corpus.num_tables());
     const std::vector<UnionMatch> want =
-        OracleTopKUnionable(corpus, q, corpus.num_tables());
+        OracleTopKUnionable(corpus, q, corpus.num_tables(), options);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].table_idx, want[i].table_idx);
@@ -652,17 +703,65 @@ void ExpectUnionSearchMatchesOracle(const Corpus& corpus,
       const ColumnSketch* b =
           corpus.TableSketches((q + 1) % corpus.num_tables())[0];
       EXPECT_EQ(search.AttributeUnionability(*a, *b),
-                OracleUnionability(corpus, a->id, b->id));
+                OracleUnionability(corpus, a->id, b->id, options));
     }
   }
 }
 
+/// The options the attribute bound must stay exact under: the defaults,
+/// each signal alone, negative weights, threshold 0, a threshold no score
+/// reaches, and a threshold equal to the exact score of one query's best
+/// pair (that pair must stay aligned).
+void ExpectSweptOptionsMatchOracle(const Corpus& corpus,
+                                   const std::vector<size_t>& queries) {
+  std::vector<UnionSearchOptions> sweep = {
+      {},
+      {0.4, 1.0, 0.0, 0.0},
+      {0.4, 0.0, 1.0, 0.0},
+      {0.4, 0.0, 0.0, 1.0},
+      {0.2, 0.6, 0.5, -0.3},
+      {0.3, -0.5, 0.5, 0.3},
+      {0.0, 0.4, 0.3, 0.3},
+      {1.5, 0.4, 0.3, 0.3},
+  };
+  size_t exact_query = 0;
+  std::vector<UnionMatch> best;
+  for (size_t q : queries) {
+    best = OracleTopKUnionable(corpus, q, 1);
+    exact_query = q;
+    if (!best.empty()) break;
+  }
+  ASSERT_FALSE(best.empty());
+  UnionSearchOptions exact;
+  exact.attribute_threshold = best[0].alignment[0].score;
+  sweep.push_back(exact);
+  for (const UnionSearchOptions& o : sweep) {
+    SCOPED_TRACE(::testing::Message()
+                 << "threshold " << o.attribute_threshold << " weights "
+                 << o.name_weight << "/" << o.value_weight << "/"
+                 << o.embedding_weight);
+    ExpectUnionSearchMatchesOracle(corpus, queries, o);
+  }
+  const std::vector<UnionMatch> at_exact =
+      UnionSearch(&corpus, exact)
+          .TopKUnionableTables(exact_query, corpus.num_tables());
+  const auto it = std::find_if(
+      at_exact.begin(), at_exact.end(), [&best](const UnionMatch& m) {
+        return m.table_idx == best[0].table_idx;
+      });
+  ASSERT_NE(it, at_exact.end());
+  EXPECT_EQ(it->alignment[0].score, exact.attribute_threshold);
+}
+
 // The lake the end-to-end discovery workload builds: 120 joinable tables
 // with 20 planted pairs plus 8 union groups of 4 (fewer rows; names and
-// shapes are what the name signal reads).
-TEST(UnionSearchOracleTest, MatchesStringGramsOnLakeBuildShapedLake) {
+// shapes are what the name signal reads). Queried: every union table and
+// every tenth joinable one.
+constexpr size_t kShapedJoinableTables = 120;
+
+std::vector<table::Table> LakeBuildShapedTables() {
   workload::JoinableLakeOptions jo;
-  jo.num_tables = 120;
+  jo.num_tables = kShapedJoinableTables;
   jo.rows_per_table = 60;
   jo.num_planted_pairs = 20;
   jo.seed = 1001;
@@ -675,49 +774,135 @@ TEST(UnionSearchOracleTest, MatchesStringGramsOnLakeBuildShapedLake) {
   for (table::Table& t : workload::MakeUnionableLake(uo).tables) {
     tables.push_back(std::move(t));
   }
-  Corpus corpus;
-  ASSERT_TRUE(corpus.AddTables(tables).ok());
+  return tables;
+}
+
+std::vector<size_t> LakeBuildShapedQueries(const Corpus& corpus) {
   std::vector<size_t> queries;
   for (size_t t = 0; t < corpus.num_tables(); ++t) {
-    if (t >= jo.num_tables || t % 10 == 0) queries.push_back(t);
+    if (t >= kShapedJoinableTables || t % 10 == 0) queries.push_back(t);
   }
-  ExpectUnionSearchMatchesOracle(corpus, queries);
+  return queries;
+}
+
+/// Twelve tables of one to four randomly named columns, string and int64
+/// alternating, 30 rows over 40 values.
+std::vector<table::Table> RandomNamesTables(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<table::Table> tables;
+  for (size_t t = 0; t < 12; ++t) {
+    table::Schema schema;
+    const size_t cols = 1 + rng.Below(4);
+    for (size_t c = 0; c < cols; ++c) {
+      schema.AddField(table::Field{
+          oracle::RandomName(rng),
+          c % 2 == 0 ? table::DataType::kString : table::DataType::kInt64,
+          true});
+    }
+    table::Table table("t" + std::to_string(t), schema);
+    for (size_t r = 0; r < 30; ++r) {
+      std::vector<table::Value> row;
+      for (size_t c = 0; c < cols; ++c) {
+        const int64_t v = static_cast<int64_t>(rng.Below(40));
+        if (c % 2 == 0) {
+          row.emplace_back("v" + std::to_string(v));
+        } else {
+          row.emplace_back(v);
+        }
+      }
+      EXPECT_TRUE(table.AppendRow(std::move(row)).ok());
+    }
+    tables.push_back(std::move(table));
+  }
+  return tables;
+}
+
+std::vector<size_t> AllTables(const Corpus& corpus) {
+  std::vector<size_t> queries(corpus.num_tables());
+  for (size_t q = 0; q < queries.size(); ++q) queries[q] = q;
+  return queries;
+}
+
+TEST(UnionSearchOracleTest, MatchesStringGramsOnLakeBuildShapedLake) {
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddTables(LakeBuildShapedTables()).ok());
+  ExpectUnionSearchMatchesOracle(corpus, LakeBuildShapedQueries(corpus));
 }
 
 TEST(UnionSearchOracleTest, MatchesStringGramsOnRandomNames) {
   for (uint64_t seed : {1, 2, 3}) {
-    Rng rng(seed);
     Corpus corpus;
-    std::vector<table::Table> tables;
-    for (size_t t = 0; t < 12; ++t) {
-      table::Schema schema;
-      const size_t cols = 1 + rng.Below(4);
-      for (size_t c = 0; c < cols; ++c) {
-        schema.AddField(table::Field{
-            oracle::RandomName(rng),
-            c % 2 == 0 ? table::DataType::kString : table::DataType::kInt64,
-            true});
-      }
-      table::Table table("t" + std::to_string(t), schema);
-      for (size_t r = 0; r < 30; ++r) {
-        std::vector<table::Value> row;
-        for (size_t c = 0; c < cols; ++c) {
-          const int64_t v = static_cast<int64_t>(rng.Below(40));
-          if (c % 2 == 0) {
-            row.emplace_back("v" + std::to_string(v));
-          } else {
-            row.emplace_back(v);
-          }
-        }
-        ASSERT_TRUE(table.AppendRow(std::move(row)).ok());
-      }
-      tables.push_back(std::move(table));
-    }
-    ASSERT_TRUE(corpus.AddTables(tables).ok());
-    std::vector<size_t> queries(corpus.num_tables());
-    for (size_t q = 0; q < queries.size(); ++q) queries[q] = q;
-    ExpectUnionSearchMatchesOracle(corpus, queries);
+    ASSERT_TRUE(corpus.AddTables(RandomNamesTables(seed)).ok());
+    ExpectUnionSearchMatchesOracle(corpus, AllTables(corpus));
   }
+}
+
+// The attribute bound skips only pairs that cannot reach the threshold, so
+// every option set answers exactly as scoring every pair does.
+TEST(UnionSearchOracleTest, SweptOptionsOnLakeBuildShapedLake) {
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddTables(LakeBuildShapedTables()).ok());
+  // Every other union table, then every thirtieth joinable one.
+  std::vector<size_t> queries;
+  for (size_t t = kShapedJoinableTables; t < corpus.num_tables(); t += 2) {
+    queries.push_back(t);
+  }
+  for (size_t t = 0; t < kShapedJoinableTables; t += 30) queries.push_back(t);
+  ExpectSweptOptionsMatchOracle(corpus, queries);
+}
+
+TEST(UnionSearchOracleTest, SweptOptionsOnRandomNames) {
+  for (uint64_t seed : {1, 2, 3}) {
+    Corpus corpus;
+    ASSERT_TRUE(corpus.AddTables(RandomNamesTables(seed)).ok());
+    ExpectSweptOptionsMatchOracle(corpus, AllTables(corpus));
+  }
+}
+
+// Registered domains give string columns nonzero embeddings whose cosine
+// carries pairs past the threshold, so the embedding signal is read.
+TEST(UnionSearchOracleTest, SweptOptionsWithSemanticDomains) {
+  workload::UnionableLakeOptions options;
+  options.num_groups = 3;
+  options.tables_per_group = 3;
+  options.rows_per_table = 40;
+  const workload::UnionableLake lake = workload::MakeUnionableLake(options);
+  Corpus corpus;
+  for (const auto& [domain, terms] : lake.domains) {
+    corpus.RegisterSemanticDomain(domain, terms);
+  }
+  ASSERT_TRUE(corpus.AddTables(lake.tables).ok());
+  UnionSearchOptions embedding_only{0.4, 0.0, 0.0, 1.0};
+  EXPECT_FALSE(UnionSearch(&corpus, embedding_only)
+                   .TopKUnionableTables(0, corpus.num_tables())
+                   .empty());
+  ExpectSweptOptionsMatchOracle(corpus, AllTables(corpus));
+}
+
+// All-NULL columns: empty value sets have all-max signatures, so their
+// MinHash Jaccard is 1, and zero embeddings. The string columns' names
+// share no 3-gram, so a negative name weight cannot lower their score.
+TEST(UnionSearchOracleTest, SweptOptionsOnAllNullColumns) {
+  std::vector<table::Table> tables;
+  for (const char* name : {"empty", "void", "blank"}) {
+    table::Schema schema;
+    schema.AddField(table::Field{name, table::DataType::kString, true});
+    schema.AddField(table::Field{"nothing",
+                                 name[0] == 'b' ? table::DataType::kDouble
+                                                : table::DataType::kInt64,
+                                 true});
+    table::Table t(std::string("t_") + name, schema);
+    for (int r = 0; r < 5; ++r) {
+      ASSERT_TRUE(t.AppendRow({table::Value(), table::Value()}).ok());
+    }
+    tables.push_back(std::move(t));
+  }
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddTables(tables).ok());
+  const ColumnSketch& a = corpus.sketch(*corpus.FindColumn("t_empty", "empty"));
+  const ColumnSketch& b = corpus.sketch(*corpus.FindColumn("t_void", "void"));
+  EXPECT_EQ(a.minhash.EstimateJaccard(b.minhash), 1.0);
+  ExpectSweptOptionsMatchOracle(corpus, AllTables(corpus));
 }
 
 /// One column's distinct non-null rendered cells, straight from the table,

@@ -99,6 +99,28 @@ TEST(SortedOverlapTest, MatchesSetIntersection) {
   }
 }
 
+TEST(SortedOverlapTest, DisjointTouchingAndEmptyLists) {
+  const std::vector<uint32_t> low = {1, 4, 9};
+  const std::vector<uint32_t> high = {10, 12};
+  const std::vector<uint32_t> touching = {9, 11, 30};
+  const std::vector<uint32_t> around = {0, 5, 20};
+  const std::vector<uint32_t> empty;
+  EXPECT_EQ(SortedOverlap(low, high), 0u);
+  EXPECT_EQ(SortedOverlap(high, low), 0u);
+  // a.back() == b.front() is one shared id, not a disjoint range.
+  EXPECT_EQ(SortedOverlap(low, touching), 1u);
+  EXPECT_EQ(SortedOverlap(touching, low), 1u);
+  // Overlapping ranges that share no id.
+  EXPECT_EQ(SortedOverlap(low, around), 0u);
+  EXPECT_EQ(SortedOverlap(low, empty), 0u);
+  EXPECT_EQ(SortedOverlap(empty, low), 0u);
+  EXPECT_EQ(SortedOverlap(empty, empty), 0u);
+  EXPECT_EQ(GramJaccard(empty, empty), 1.0);
+  EXPECT_EQ(GramJaccard(low, empty), 0.0);
+  EXPECT_EQ(GramJaccard(low, high), 0.0);
+  EXPECT_EQ(GramJaccard(low, touching), 0.2);
+}
+
 // ------------------------------------------------------------- dictionary
 
 TEST(StringDictionaryTest, DenseIdsInFirstInternOrderOverOneArena) {
@@ -215,6 +237,26 @@ TEST(MinHashTest, FromHashesMatchesFromStrings) {
   for (const auto& e : elems) hashes.push_back(Fnv1a64(e));
   EXPECT_EQ(hasher.Compute(elems).values(),
             hasher.ComputeFromHashes(hashes).values());
+}
+
+// The blocked count against a plain loop: lengths around the 32-value
+// blocks, equal positions anywhere, values differing in one bit only.
+TEST(MinHashTest, CountEqualMatchesPlainLoop) {
+  Rng rng(5);
+  for (size_t n : {0, 1, 31, 32, 33, 64, 100, 128, 129}) {
+    std::vector<uint64_t> a(n);
+    std::vector<uint64_t> b(n);
+    size_t want = 0;
+    for (size_t i = 0; i < n; ++i) {
+      a[i] = rng.Next();
+      b[i] = rng.Below(2) == 0 ? a[i] : a[i] ^ (uint64_t{1} << rng.Below(64));
+      want += a[i] == b[i];
+    }
+    EXPECT_EQ(CountEqual(a, b), want) << n;
+    // The shorter array sets the length.
+    EXPECT_EQ(CountEqual(a, std::span<const uint64_t>(b).first(n / 2)),
+              CountEqual(std::span<const uint64_t>(a).first(n / 2), b));
+  }
 }
 
 // ---------------------------------------------------------------- LSH

@@ -49,7 +49,9 @@ BUILD_TYPE="unknown"
 COMPILER="unknown"
 if [ -f "$CACHE" ]; then
   BUILD_TYPE="$(cache_value CMAKE_BUILD_TYPE)"
-  BUILD_TYPE="${BUILD_TYPE:-none}"  # no build type: no optimization flags
+  # CMakeLists.txt caches its RelWithDebInfo default, so an empty entry
+  # means a tree configured before it did (it compiled -O2 -g all the same).
+  BUILD_TYPE="${BUILD_TYPE:-none}"
   CXX="$(cache_value CMAKE_CXX_COMPILER)"
   if [ -n "$CXX" ]; then
     COMPILER="$(basename "$CXX")-$("$CXX" -dumpfullversion 2>/dev/null ||
