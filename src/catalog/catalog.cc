@@ -1,6 +1,7 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "common/string_util.h"
@@ -120,7 +121,11 @@ Result<Catalog> Catalog::Open(const std::string& dir) {
   // Restore the logical clock.
   Result<std::string> clock = catalog.store_->Get("meta/clock");
   if (clock.ok()) {
-    catalog.clock_ = std::stoll(*clock);
+    const char* end = clock->data() + clock->size();
+    auto [ptr, ec] = std::from_chars(clock->data(), end, catalog.clock_);
+    if (ec != std::errc() || ptr != end) {
+      return Status::Corruption("unparsable catalog clock '" + *clock + "'");
+    }
   }
   LAKEKIT_ASSIGN_OR_RETURN(auto pairs, catalog.store_->ScanPrefix("ds/"));
   for (const auto& [key, payload] : pairs) {

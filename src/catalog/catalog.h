@@ -80,7 +80,8 @@ struct DatasetEntry {
 /// mutating call (Register, Update, Remove) must not overlap any other call.
 class Catalog {
  public:
-  /// Opens a catalog persisted under `dir`.
+  /// Opens a catalog persisted under `dir`; Corruption when its stored
+  /// clock is not a number.
   static Result<Catalog> Open(const std::string& dir);
 
   Catalog(Catalog&&) = default;

@@ -3,21 +3,30 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "text/lsh.h"
+#include "text/tfidf.h"
+
 namespace lakekit::discovery {
 
 using metamodel::Ekg;
 using metamodel::Relation;
 
-AurumFinder::AurumFinder(const Corpus* corpus, AurumOptions options)
-    : corpus_(corpus), options_(options) {}
+namespace {
+
+/// Minimum estimated Jaccard for a content-similarity EKG edge.
+constexpr double kContentEdgeThreshold = 0.3;
+/// Minimum attribute-name TF-IDF cosine for a schema-similarity edge.
+constexpr double kSchemaEdgeThreshold = 0.6;
+/// PK-FK inference: FK column must be contained in the PK candidate at
+/// least this much.
+constexpr double kPkFkContainmentThreshold = 0.8;
+/// PK side must have uniqueness at least this high.
+constexpr double kPkFkUniquenessThreshold = 0.95;
+
+}  // namespace
 
 Status AurumFinder::Build(ThreadPool* pool) {
-  if (options_.lsh_bands * options_.lsh_rows != kMinHashSize) {
-    return Status::InvalidArgument(
-        "lsh_bands * lsh_rows must equal the corpus MinHash size");
-  }
-  lsh_ = std::make_unique<text::LshIndex>(options_.lsh_bands,
-                                          options_.lsh_rows);
+  text::LshIndex lsh(kLshBands, kLshRows);
   const auto& sketches = corpus_->sketches();
   ParallelOptions par;
   par.pool = pool;
@@ -44,7 +53,7 @@ Status AurumFinder::Build(ThreadPool* pool) {
   // and writes its verified edges to its own slot; the EKG merge below runs
   // serially in ascending column order so the graph is deterministic.
   for (const ColumnSketch& s : sketches) {
-    lsh_->Insert(s.id.Packed(), s.minhash);
+    lsh.Insert(s.id.Packed(), s.minhash);
   }
   struct VerifiedEdge {
     size_t other;  // sketch index
@@ -55,7 +64,7 @@ Status AurumFinder::Build(ThreadPool* pool) {
       0, sketches.size(),
       [&](size_t i) -> Status {
         const ColumnSketch& s = sketches[i];
-        std::vector<uint64_t> candidates = lsh_->Query(s.minhash);
+        std::vector<uint64_t> candidates = lsh.Query(s.minhash);
         std::sort(candidates.begin(), candidates.end());
         for (uint64_t packed : candidates) {
           if (packed >= s.id.Packed()) break;
@@ -63,7 +72,7 @@ Status AurumFinder::Build(ThreadPool* pool) {
           if (other_id.table_idx == s.id.table_idx) continue;
           const ColumnSketch& other = corpus_->sketch(other_id);
           double estimate = s.minhash.EstimateJaccard(other.minhash);
-          if (estimate >= options_.content_edge_threshold) {
+          if (estimate >= kContentEdgeThreshold) {
             content_edges[i].push_back(
                 VerifiedEdge{static_cast<size_t>(&other - sketches.data()),
                              estimate});
@@ -105,7 +114,7 @@ Status AurumFinder::Build(ThreadPool* pool) {
           if (sketches[i].id.table_idx == sketches[j].id.table_idx) continue;
           double cos =
               text::CosineSimilarity(name_vectors[i], name_vectors[j]);
-          if (cos >= options_.schema_edge_threshold) {
+          if (cos >= kSchemaEdgeThreshold) {
             schema_edges[i].push_back(VerifiedEdge{j, cos});
           }
         }
@@ -131,17 +140,17 @@ Status AurumFinder::Build(ThreadPool* pool) {
       0, sketches.size(),
       [&](size_t i) -> Status {
         const ColumnSketch& pk = sketches[i];
-        if (pk.uniqueness() < options_.pkfk_uniqueness_threshold ||
+        if (pk.uniqueness() < kPkFkUniquenessThreshold ||
             pk.sorted_values.empty()) {
           return Status::OK();
         }
         // Only check LSH/content candidates plus exact containment verify.
-        for (uint64_t packed : lsh_->Query(pk.minhash)) {
+        for (uint64_t packed : lsh.Query(pk.minhash)) {
           ColumnId fk_id = ColumnId::FromPacked(packed);
           if (fk_id == pk.id || fk_id.table_idx == pk.id.table_idx) continue;
           const ColumnSketch& fk = corpus_->sketch(fk_id);
           double containment = ExactContainment(fk, pk);
-          if (containment >= options_.pkfk_containment_threshold) {
+          if (containment >= kPkFkContainmentThreshold) {
             pkfk_edges[i].push_back(
                 VerifiedEdge{static_cast<size_t>(&fk - sketches.data()),
                              containment});

@@ -1,32 +1,12 @@
 #ifndef LAKEKIT_DISCOVERY_AURUM_H_
 #define LAKEKIT_DISCOVERY_AURUM_H_
 
-#include <memory>
 #include <vector>
 
 #include "discovery/common.h"
 #include "metamodel/ekg.h"
-#include "text/lsh.h"
-#include "text/tfidf.h"
 
 namespace lakekit::discovery {
-
-/// Tuning for the Aurum pipeline.
-struct AurumOptions {
-  /// LSH banding over the corpus MinHash signatures; bands*rows must equal
-  /// the corpus minhash size.
-  size_t lsh_bands = 32;
-  size_t lsh_rows = 4;
-  /// Minimum estimated Jaccard for a content-similarity EKG edge.
-  double content_edge_threshold = 0.3;
-  /// Minimum attribute-name TF-IDF cosine for a schema-similarity edge.
-  double schema_edge_threshold = 0.6;
-  /// PK-FK inference: FK column must be contained in the PK candidate at
-  /// least this much.
-  double pkfk_containment_threshold = 0.8;
-  /// PK side must have uniqueness at least this high.
-  double pkfk_uniqueness_threshold = 0.95;
-};
 
 /// Aurum (survey Sec. 6.2.1, Table 3): profiles every column into MinHash
 /// signatures, indexes them in a banding LSH, and materializes an Enterprise
@@ -37,9 +17,11 @@ struct AurumOptions {
 /// O(n²) all-pairs comparison into LSH-candidate verification.
 class AurumFinder {
  public:
-  AurumFinder(const Corpus* corpus, AurumOptions options = {});
+  explicit AurumFinder(const Corpus* corpus) : corpus_(corpus) {}
 
-  /// Builds the LSH index and the EKG. Call once after the corpus is loaded.
+  /// Builds the EKG through a banding LSH over the corpus signatures
+  /// (`kLshBands` x `kLshRows`), which is freed when the build ends. Call
+  /// once after the corpus is loaded.
   ///
   /// LSH insertion and EKG mutation stay serial; the expensive per-column
   /// candidate verification (content edges, schema-edge cosines, PK-FK
@@ -75,8 +57,6 @@ class AurumFinder {
 
  private:
   const Corpus* corpus_;
-  AurumOptions options_;
-  std::unique_ptr<text::LshIndex> lsh_;
   metamodel::Ekg ekg_;
   std::vector<metamodel::Ekg::NodeId> ekg_node_of_;  // by sketch index order
   std::vector<std::pair<ColumnId, ColumnId>> pkfk_pairs_;

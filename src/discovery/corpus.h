@@ -101,6 +101,11 @@ std::string FormatPattern(std::string_view value);
 /// Sketch sizes, the same for every corpus.
 /// MinHash signature length: Aurum's and D3L's value LSH bands * rows.
 inline constexpr size_t kMinHashSize = 128;
+/// Aurum's and D3L's banding LSH over that signature.
+inline constexpr size_t kLshBands = 32;
+inline constexpr size_t kLshRows = 4;
+static_assert(kLshBands * kLshRows == kMinHashSize,
+              "LSH bands * rows must equal the MinHash signature length");
 /// Embedding dimension: PEXESO's hyperplanes span it.
 inline constexpr size_t kEmbeddingDim = 64;
 /// Distinct numeric values retained per column for KS tests.

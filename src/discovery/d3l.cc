@@ -10,28 +10,28 @@
 
 namespace lakekit::discovery {
 
-D3lFinder::D3lFinder(const Corpus* corpus, D3lOptions options)
-    : corpus_(corpus), options_(options) {}
+namespace {
+
+/// Candidates are also generated from attribute-name q-gram MinHash.
+constexpr size_t kNameMinHashSize = 64;
+constexpr size_t kNameLshBands = 16;
+constexpr size_t kNameLshRows = 4;
+static_assert(kNameLshBands * kNameLshRows == kNameMinHashSize,
+              "name LSH bands * rows must equal the name MinHash length");
+/// Logistic-regression training.
+constexpr double kLearningRate = 0.5;
+constexpr int kTrainingEpochs = 200;
+
+}  // namespace
 
 Status D3lFinder::Build(ThreadPool* pool) {
-  if (options_.lsh_bands * options_.lsh_rows != kMinHashSize) {
-    return Status::InvalidArgument(
-        "value LSH bands*rows must equal corpus MinHash size");
-  }
-  if (options_.name_lsh_bands * options_.name_lsh_rows !=
-      options_.name_minhash_size) {
-    return Status::InvalidArgument(
-        "name LSH bands*rows must equal name MinHash size");
-  }
-  value_lsh_ = std::make_unique<text::LshIndex>(options_.lsh_bands,
-                                                options_.lsh_rows);
-  name_lsh_ = std::make_unique<text::LshIndex>(options_.name_lsh_bands,
-                                               options_.name_lsh_rows);
+  value_lsh_ = std::make_unique<text::LshIndex>(kLshBands, kLshRows);
+  name_lsh_ = std::make_unique<text::LshIndex>(kNameLshBands, kNameLshRows);
   const auto& sketches = corpus_->sketches();
   // Per-column name MinHashing (q-gram extraction + hashing) is the
   // expensive part of the build: fan it out into pre-sized slots, then run
   // the order-sensitive LSH insertions serially over the results.
-  text::MinHasher name_hasher(options_.name_minhash_size, /*seed=*/23);
+  text::MinHasher name_hasher(kNameMinHashSize, /*seed=*/23);
   name_signatures_.assign(sketches.size(), text::MinHashSignature());
   ParallelOptions par;
   par.pool = pool;
@@ -130,8 +130,7 @@ Status D3lFinder::TrainWeights(const std::vector<LabeledPair>& pairs) {
   }
   std::array<double, 5> w{0, 0, 0, 0, 0};
   double b = 0;
-  const double lr = options_.learning_rate;
-  for (int epoch = 0; epoch < options_.training_epochs; ++epoch) {
+  for (int epoch = 0; epoch < kTrainingEpochs; ++epoch) {
     std::array<double, 5> grad_w{0, 0, 0, 0, 0};
     double grad_b = 0;
     for (size_t i = 0; i < xs.size(); ++i) {
@@ -143,8 +142,8 @@ Status D3lFinder::TrainWeights(const std::vector<LabeledPair>& pairs) {
       grad_b += err;
     }
     const double n = static_cast<double>(xs.size());
-    for (size_t d = 0; d < 5; ++d) w[d] -= lr * grad_w[d] / n;
-    b -= lr * grad_b / n;
+    for (size_t d = 0; d < 5; ++d) w[d] -= kLearningRate * grad_w[d] / n;
+    b -= kLearningRate * grad_b / n;
   }
   // Normalize positive weights to mean 1 so distances stay comparable to
   // the unweighted default.
@@ -165,11 +164,11 @@ Status D3lFinder::TrainWeights(const std::vector<LabeledPair>& pairs) {
 std::vector<ColumnId> D3lFinder::Candidates(const ColumnSketch& query) const {
   std::set<uint64_t> packed;
   for (uint64_t p : value_lsh_->Query(query.minhash)) packed.insert(p);
-  // Name candidates.
-  text::MinHasher name_hasher(options_.name_minhash_size, /*seed=*/23);
-  text::MinHashSignature name_sig =
-      name_hasher.Compute(text::QGrams(query.column_name, 3));
-  for (uint64_t p : name_lsh_->Query(name_sig)) packed.insert(p);
+  // Name candidates, from the signature Build stored for this column.
+  const size_t i = static_cast<size_t>(&query - corpus_->sketches().data());
+  if (i < name_signatures_.size()) {
+    for (uint64_t p : name_lsh_->Query(name_signatures_[i])) packed.insert(p);
+  }
   std::vector<ColumnId> out;
   for (uint64_t p : packed) {
     ColumnId id = ColumnId::FromPacked(p);

@@ -34,19 +34,6 @@ struct LabeledPair {
   bool related = false;
 };
 
-struct D3lOptions {
-  /// LSH banding for candidate generation over value MinHash.
-  size_t lsh_bands = 32;
-  size_t lsh_rows = 4;
-  /// Candidates are also generated from attribute-name q-gram MinHash.
-  size_t name_minhash_size = 64;
-  size_t name_lsh_bands = 16;
-  size_t name_lsh_rows = 4;
-  /// Logistic-regression training.
-  double learning_rate = 0.5;
-  int training_epochs = 200;
-};
-
 /// D3L (survey Sec. 6.2.1): multi-evidence dataset discovery. Candidate
 /// columns come from two LSH indexes (value MinHash and name-q-gram
 /// MinHash); each candidate is scored by the weighted Euclidean distance of
@@ -54,11 +41,13 @@ struct D3lOptions {
 /// relatedness ground truth — the paper's trained feature coefficients.
 class D3lFinder {
  public:
-  D3lFinder(const Corpus* corpus, D3lOptions options = {});
+  explicit D3lFinder(const Corpus* corpus) : corpus_(corpus) {}
 
   /// Builds both LSH indexes. Per-column name-q-gram MinHashing fans out
   /// over `pool` (nullptr -> ThreadPool::Default(); size-1 pool = serial
   /// opt-out); LSH insertion stays serial so index layout is deterministic.
+  /// Columns the corpus gains after Build are not indexed; a query on one
+  /// gets value candidates only.
   Status Build(ThreadPool* pool = nullptr);
 
   /// Raw feature vector of a column pair.
@@ -87,7 +76,6 @@ class D3lFinder {
   std::vector<ColumnId> Candidates(const ColumnSketch& query) const;
 
   const Corpus* corpus_;
-  D3lOptions options_;
   std::array<double, 5> weights_{1, 1, 1, 1, 1};
   double bias_ = 0;
   std::unique_ptr<text::LshIndex> value_lsh_;

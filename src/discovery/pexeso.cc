@@ -6,13 +6,25 @@
 
 namespace lakekit::discovery {
 
-PexesoFinder::PexesoFinder(const Corpus* corpus, PexesoOptions options)
-    : corpus_(corpus), options_(options) {}
+namespace {
+
+/// Two values "match" when their embedding cosine is at least this.
+constexpr double kCosineThreshold = 0.7;
+/// A candidate column is semantically joinable when at least this fraction
+/// of the query's values have a match in it.
+constexpr double kMatchFraction = 0.5;
+/// Number of random hyperplanes for the sign-bucket index (the stand-in
+/// for PEXESO's hierarchical grid partitioning).
+constexpr size_t kHyperplanes = 12;
+/// Cap on values embedded per column.
+constexpr size_t kValueCap = 128;
+
+}  // namespace
 
 void PexesoFinder::Build() {
   // Deterministic hyperplanes from the shared embedder's dimensionality.
   hyperplanes_.clear();
-  for (size_t h = 0; h < options_.hyperplanes; ++h) {
+  for (size_t h = 0; h < kHyperplanes; ++h) {
     text::DenseVector plane(kEmbeddingDim);
     uint64_t seed = Mix64(0x9e3779b9ULL + h);
     for (size_t d = 0; d < kEmbeddingDim; ++d) {
@@ -28,7 +40,7 @@ void PexesoFinder::Build() {
     if (!s.is_textual()) continue;
     size_t count = 0;
     for (uint32_t value : s.distinct_values) {
-      if (count++ >= options_.value_cap) break;
+      if (count++ >= kValueCap) break;
       Entry e;
       e.column_packed = s.id.Packed();
       e.vector = corpus_->embedder().Embed(corpus_->dictionary()[value]);
@@ -81,7 +93,7 @@ std::vector<ColumnMatch> PexesoFinder::TopKSemanticJoinableColumns(
   std::unordered_map<uint64_t, size_t> matched_counts;
   size_t considered = 0;
   for (uint32_t value : q.distinct_values) {
-    if (considered++ >= options_.value_cap) break;
+    if (considered++ >= kValueCap) break;
     text::DenseVector qv =
         corpus_->embedder().Embed(corpus_->dictionary()[value]);
     std::unordered_set<uint64_t> columns_with_match;
@@ -91,7 +103,7 @@ std::vector<ColumnMatch> PexesoFinder::TopKSemanticJoinableColumns(
         continue;
       }
       if (columns_with_match.count(e.column_packed) > 0) continue;
-      if (text::CosineSimilarity(qv, e.vector) >= options_.cosine_threshold) {
+      if (text::CosineSimilarity(qv, e.vector) >= kCosineThreshold) {
         columns_with_match.insert(e.column_packed);
       }
     }
@@ -102,7 +114,7 @@ std::vector<ColumnMatch> PexesoFinder::TopKSemanticJoinableColumns(
   std::vector<ColumnMatch> matches;
   for (const auto& [packed, count] : matched_counts) {
     double fraction = static_cast<double>(count) / denom;
-    if (fraction >= options_.match_fraction) {
+    if (fraction >= kMatchFraction) {
       matches.push_back(ColumnMatch{ColumnId::FromPacked(packed), fraction});
     }
   }

@@ -10,19 +10,6 @@
 
 namespace lakekit::discovery {
 
-struct PexesoOptions {
-  /// Two values "match" when their embedding cosine is at least this.
-  double cosine_threshold = 0.7;
-  /// A candidate column is semantically joinable when at least this fraction
-  /// of the query's values have a match in it.
-  double match_fraction = 0.5;
-  /// Number of random hyperplanes for the sign-bucket index (the stand-in
-  /// for PEXESO's hierarchical grid partitioning).
-  size_t hyperplanes = 12;
-  /// Cap on values embedded per column.
-  size_t value_cap = 128;
-};
-
 /// PEXESO (survey Sec. 6.2.3, Table 3): joinable-table discovery for
 /// *semantically* joinable textual columns — values match by embedding
 /// proximity rather than string equality, so "NL" joins "Netherlands" when
@@ -32,13 +19,14 @@ struct PexesoOptions {
 /// verify candidates with the exact cosine threshold.
 class PexesoFinder {
  public:
-  PexesoFinder(const Corpus* corpus, PexesoOptions options = {});
+  explicit PexesoFinder(const Corpus* corpus) : corpus_(corpus) {}
 
   /// Embeds and indexes the textual values of every textual column.
   void Build();
 
   /// Top-k semantically joinable columns for a textual query column, scored
-  /// by matched-value fraction. Columns below `match_fraction` are dropped.
+  /// by matched-value fraction. Columns matching under half of the query's
+  /// values are dropped.
   std::vector<ColumnMatch> TopKSemanticJoinableColumns(ColumnId query,
                                                        size_t k) const;
 
@@ -60,7 +48,6 @@ class PexesoFinder {
   std::vector<size_t> Probe(const text::DenseVector& v) const;
 
   const Corpus* corpus_;
-  PexesoOptions options_;
   std::vector<text::DenseVector> hyperplanes_;
   std::vector<Entry> entries_;
   std::unordered_map<uint64_t, std::vector<size_t>> buckets_;

@@ -7,15 +7,26 @@
 
 namespace lakekit::enrich {
 
-D4DomainDiscovery::D4DomainDiscovery(D4Options options) : options_(options) {}
+namespace {
+
+/// Columns whose term sets have Jaccard >= this are assumed to draw from
+/// one domain.
+constexpr double kColumnSimilarityThreshold = 0.25;
+/// A term belongs to a domain when it appears in at least this fraction
+/// of the domain's columns (robustness against ambiguous terms — D4's
+/// local-frequency signal).
+constexpr double kTermSupportFraction = 0.3;
+/// Only textual columns with at least this many distinct terms take part.
+constexpr size_t kMinColumnTerms = 3;
+
+}  // namespace
 
 std::vector<Domain> D4DomainDiscovery::Discover(
     const discovery::Corpus& corpus) const {
   // Participating columns.
   std::vector<const discovery::ColumnSketch*> columns;
   for (const discovery::ColumnSketch& s : corpus.sketches()) {
-    if (s.is_textual() &&
-        s.sorted_values.size() >= options_.min_column_terms) {
+    if (s.is_textual() && s.sorted_values.size() >= kMinColumnTerms) {
       columns.push_back(&s);
     }
   }
@@ -33,7 +44,7 @@ std::vector<Domain> D4DomainDiscovery::Discover(
   for (size_t i = 0; i < columns.size(); ++i) {
     for (size_t j = i + 1; j < columns.size(); ++j) {
       if (discovery::ExactJaccard(*columns[i], *columns[j]) >=
-          options_.column_similarity_threshold) {
+          kColumnSimilarityThreshold) {
         parent[find(i)] = find(j);
       }
     }
@@ -54,8 +65,7 @@ std::vector<Domain> D4DomainDiscovery::Discover(
       for (uint32_t term : columns[m]->sorted_values) ++term_support[term];
     }
     const double min_support = std::max(
-        1.0, options_.term_support_fraction *
-                 static_cast<double>(members.size()));
+        1.0, kTermSupportFraction * static_cast<double>(members.size()));
     for (const auto& [term, support] : term_support) {
       if (static_cast<double>(support) >= min_support) {
         d.terms.emplace_back(corpus.dictionary()[term]);

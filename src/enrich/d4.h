@@ -18,18 +18,6 @@ struct Domain {
   std::vector<discovery::ColumnId> columns;
 };
 
-struct D4Options {
-  /// Columns whose term sets have Jaccard >= this are assumed to draw from
-  /// one domain.
-  double column_similarity_threshold = 0.25;
-  /// A term belongs to a domain when it appears in at least this fraction
-  /// of the domain's columns (robustness against ambiguous terms — D4's
-  /// local-frequency signal).
-  double term_support_fraction = 0.3;
-  /// Only textual columns with at least this many distinct terms take part.
-  size_t min_column_terms = 3;
-};
-
 /// D4 — data-driven domain discovery over all textual columns of a corpus:
 /// columns cluster by term-set overlap (transitive, union-find), and each
 /// cluster's domain keeps the terms with sufficient local support, so an
@@ -37,17 +25,12 @@ struct D4Options {
 /// locally frequent rather than gluing unrelated domains together.
 class D4DomainDiscovery {
  public:
-  explicit D4DomainDiscovery(D4Options options = {});
-
   /// Runs discovery over every textual column of the corpus.
   std::vector<Domain> Discover(const discovery::Corpus& corpus) const;
 
   /// Domains containing `term` (by id), given a Discover() result.
   static std::vector<size_t> DomainsOfTerm(const std::vector<Domain>& domains,
                                            const std::string& term);
-
- private:
-  D4Options options_;
 };
 
 }  // namespace lakekit::enrich

@@ -5,7 +5,15 @@
 
 namespace lakekit::enrich {
 
-DomainNet::DomainNet(DomainNetOptions options) : options_(options) {}
+namespace {
+
+/// Label-propagation iterations over the value-attribute graph.
+constexpr int kPropagationIterations = 10;
+/// Minimum attribute count for a value to be considered (values in one
+/// attribute cannot be homographs).
+constexpr size_t kMinAttributeCount = 2;
+
+}  // namespace
 
 void DomainNet::Build(const discovery::Corpus& corpus) {
   attributes_of_value_.clear();
@@ -39,7 +47,7 @@ void DomainNet::Build(const discovery::Corpus& corpus) {
   // determinism) adopt the weight-dominant label among their neighbors,
   // updating in place — the asynchronous schedule avoids the label-swap
   // oscillation of synchronous updates. Ties keep the smaller label.
-  for (int iter = 0; iter < options_.propagation_iterations; ++iter) {
+  for (int iter = 0; iter < kPropagationIterations; ++iter) {
     bool changed = false;
     for (uint64_t attr : attribute_ids) {
       auto it = neighbor_weight.find(attr);
@@ -93,7 +101,7 @@ double DomainNet::HomographScore(const std::string& value) const {
 std::vector<Homograph> DomainNet::FindHomographs() const {
   std::vector<Homograph> out;
   for (const auto& [value, attrs] : attributes_of_value_) {
-    if (attrs.size() < options_.min_attribute_count) continue;
+    if (attrs.size() < kMinAttributeCount) continue;
     std::set<uint64_t> communities;
     for (uint64_t attr : attrs) communities.insert(community_of_.at(attr));
     if (communities.size() >= 2) {

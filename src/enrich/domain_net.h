@@ -22,22 +22,12 @@ struct Homograph {
   double score = 0;
 };
 
-struct DomainNetOptions {
-  /// Label-propagation iterations over the value-attribute graph.
-  int propagation_iterations = 10;
-  /// Minimum attribute count for a value to be considered (values in one
-  /// attribute cannot be homographs).
-  size_t min_attribute_count = 2;
-};
-
 /// DomainNet: builds the bipartite network of data values and the attributes
 /// (columns) containing them, detects communities with synchronous label
 /// propagation on the attribute side, and flags values whose attribute
 /// neighborhoods span multiple communities as homographs.
 class DomainNet {
  public:
-  explicit DomainNet(DomainNetOptions options = {});
-
   /// Runs community detection over the corpus's textual columns.
   void Build(const discovery::Corpus& corpus);
 
@@ -53,7 +43,6 @@ class DomainNet {
   double HomographScore(const std::string& value) const;
 
  private:
-  DomainNetOptions options_;
   /// value -> packed column ids containing it.
   std::unordered_map<std::string, std::vector<uint64_t>> attributes_of_value_;
   /// packed column id -> community label.

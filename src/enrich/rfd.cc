@@ -10,6 +10,10 @@ namespace lakekit::enrich {
 
 namespace {
 
+/// LHS columns with uniqueness above this are skipped: keys trivially
+/// determine everything.
+constexpr double kMaxLhsUniqueness = 0.99;
+
 RelaxedFd Evaluate(const table::Table& t, const std::vector<size_t>& lhs_cols,
                    size_t rhs_col) {
   RelaxedFd fd;
@@ -86,7 +90,7 @@ std::vector<RelaxedFd> DiscoverRelaxedFds(const table::Table& t,
   // Level 1: single-attribute LHS.
   std::vector<std::vector<bool>> holds_single(n, std::vector<bool>(n, false));
   for (size_t x = 0; x < n; ++x) {
-    if (uniqueness[x] > options.max_lhs_uniqueness) continue;
+    if (uniqueness[x] > kMaxLhsUniqueness) continue;
     for (size_t y = 0; y < n; ++y) {
       if (x == y) continue;
       RelaxedFd fd = Evaluate(t, {x}, y);
@@ -99,18 +103,16 @@ std::vector<RelaxedFd> DiscoverRelaxedFds(const table::Table& t,
 
   // Level 2: pair LHS, pruned by minimality (skip when either single side
   // already determines y).
-  if (options.search_pairs) {
-    for (size_t x1 = 0; x1 < n; ++x1) {
-      if (uniqueness[x1] > options.max_lhs_uniqueness) continue;
-      for (size_t x2 = x1 + 1; x2 < n; ++x2) {
-        if (uniqueness[x2] > options.max_lhs_uniqueness) continue;
-        for (size_t y = 0; y < n; ++y) {
-          if (y == x1 || y == x2) continue;
-          if (holds_single[x1][y] || holds_single[x2][y]) continue;
-          RelaxedFd fd = Evaluate(t, {x1, x2}, y);
-          if (fd.confidence >= options.min_confidence) {
-            out.push_back(std::move(fd));
-          }
+  for (size_t x1 = 0; x1 < n; ++x1) {
+    if (uniqueness[x1] > kMaxLhsUniqueness) continue;
+    for (size_t x2 = x1 + 1; x2 < n; ++x2) {
+      if (uniqueness[x2] > kMaxLhsUniqueness) continue;
+      for (size_t y = 0; y < n; ++y) {
+        if (y == x1 || y == x2) continue;
+        if (holds_single[x1][y] || holds_single[x2][y]) continue;
+        RelaxedFd fd = Evaluate(t, {x1, x2}, y);
+        if (fd.confidence >= options.min_confidence) {
+          out.push_back(std::move(fd));
         }
       }
     }

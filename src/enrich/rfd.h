@@ -25,18 +25,15 @@ struct RelaxedFd {
 struct RfdOptions {
   /// Minimum confidence for a dependency to be reported.
   double min_confidence = 0.9;
-  /// Also search 2-attribute LHS (level 2 of the lattice). Singles that
-  /// already satisfy min_confidence prune their supersets (minimality).
-  bool search_pairs = true;
-  /// LHS columns with uniqueness above this are skipped: keys trivially
-  /// determine everything.
-  double max_lhs_uniqueness = 0.99;
 };
 
 /// Discovers relaxed FDs in one table: for every candidate LHS, rows group
 /// by LHS value; the majority RHS value per group defines the dependency;
 /// confidence = consistent rows / rows. Violating row indexes are recorded
 /// for the data-cleaning tier (Sec. 6.5 uses them as error candidates).
+/// Candidate LHS are single columns and column pairs (levels 1 and 2 of the
+/// lattice); a single that already satisfies min_confidence prunes its
+/// supersets (minimality), and near-key columns never appear on the LHS.
 std::vector<RelaxedFd> DiscoverRelaxedFds(const table::Table& t,
                                           const RfdOptions& options = {});
 

@@ -12,6 +12,10 @@ namespace lakekit::ingest {
 
 namespace {
 constexpr std::string_view kWildcard = "<*>";
+/// Cap on the number of emitted templates.
+constexpr size_t kMaxTemplates = 64;
+/// Number of refinement passes merging near-identical templates.
+constexpr int kRefinementPasses = 3;
 }  // namespace
 
 std::string LogTemplate::Pattern() const {
@@ -94,7 +98,7 @@ std::vector<LogTemplate> LogTemplateExtractor::Extract(
 
   // Step 3: refinement — merge same-arity templates differing in exactly one
   // position by generalizing that position.
-  for (int pass = 0; pass < options_.refinement_passes; ++pass) {
+  for (int pass = 0; pass < kRefinementPasses; ++pass) {
     bool merged_any = false;
     for (size_t i = 0; i < templates.size(); ++i) {
       for (size_t j = i + 1; j < templates.size(); ++j) {
@@ -150,8 +154,8 @@ std::vector<LogTemplate> LogTemplateExtractor::Extract(
               if (a.support != b.support) return a.support > b.support;
               return literal_count(a) > literal_count(b);
             });
-  if (templates.size() > options_.max_templates) {
-    templates.resize(options_.max_templates);
+  if (templates.size() > kMaxTemplates) {
+    templates.resize(kMaxTemplates);
   }
   return templates;
 }

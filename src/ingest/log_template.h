@@ -28,10 +28,6 @@ struct LogTemplateOptions {
   /// A template must cover at least this fraction of input lines to survive
   /// (DATAMARAN's coverage-threshold assumption).
   double min_coverage = 0.01;
-  /// Cap on the number of emitted templates.
-  size_t max_templates = 64;
-  /// Number of refinement passes merging near-identical templates.
-  int refinement_passes = 3;
 };
 
 /// DATAMARAN-style unsupervised structure extraction from log files

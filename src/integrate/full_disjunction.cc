@@ -10,6 +10,10 @@ namespace lakekit::integrate {
 
 namespace {
 
+/// Safety bound on merge rounds (the fixpoint normally arrives in
+/// #tables - 1 rounds).
+constexpr size_t kMaxRounds = 8;
+
 using Tuple = std::vector<table::Value>;
 
 /// Whether two padded tuples can combine: agree wherever both non-null and
@@ -72,7 +76,7 @@ Result<table::Table> FullDisjunction(const std::vector<table::Table>& sources,
   }
 
   // Fixpoint: combine joinable tuples until no new tuple appears.
-  for (size_t round = 0; round < options.max_rounds; ++round) {
+  for (size_t round = 0; round < kMaxRounds; ++round) {
     std::vector<Tuple> fresh;
     for (size_t i = 0; i < tuples.size(); ++i) {
       for (size_t j = i + 1; j < tuples.size(); ++j) {

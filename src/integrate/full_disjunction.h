@@ -10,9 +10,6 @@
 namespace lakekit::integrate {
 
 struct FullDisjunctionOptions {
-  /// Safety bound on merge rounds (the fixpoint normally arrives in
-  /// #tables - 1 rounds).
-  size_t max_rounds = 8;
   /// Safety bound on intermediate tuples.
   size_t max_tuples = 200000;
 };

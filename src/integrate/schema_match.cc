@@ -7,8 +7,19 @@
 
 namespace lakekit::integrate {
 
-SchemaMatcher::SchemaMatcher(SchemaMatchOptions options)
-    : options_(options) {}
+namespace {
+
+/// Blend of the two matcher signals.
+constexpr double kNameWeight = 0.5;
+constexpr double kValueWeight = 0.5;
+/// Pairs scoring below this are not matched. A pure value-overlap match
+/// (renamed columns with shared instances) scores kValueWeight * Jaccard,
+/// so renamed columns with >= ~60% value overlap are admitted.
+constexpr double kThreshold = 0.3;
+/// Values sampled per column for the instance-based matcher.
+constexpr size_t kValueSample = 256;
+
+}  // namespace
 
 double SchemaMatcher::ColumnSimilarity(const table::Table& left,
                                        size_t left_col,
@@ -26,7 +37,7 @@ double SchemaMatcher::ColumnSimilarity(const table::Table& left,
     for (const table::Value& v : t.column(col)) {
       if (v.is_null()) continue;
       values.insert(v.ToString());
-      if (values.size() >= options_.value_sample) break;
+      if (values.size() >= kValueSample) break;
     }
     return values;
   };
@@ -46,8 +57,7 @@ double SchemaMatcher::ColumnSimilarity(const table::Table& left,
                                static_cast<double>(uni);
   }
 
-  double score =
-      options_.name_weight * name + options_.value_weight * value_sim;
+  double score = kNameWeight * name + kValueWeight * value_sim;
   if (lf.type != rf.type) score *= 0.6;
   return score;
 }
@@ -58,7 +68,7 @@ std::vector<AttributeMatch> SchemaMatcher::Match(
   for (size_t l = 0; l < left.num_columns(); ++l) {
     for (size_t r = 0; r < right.num_columns(); ++r) {
       double score = ColumnSimilarity(left, l, right, r);
-      if (score >= options_.threshold) {
+      if (score >= kThreshold) {
         candidates.push_back(AttributeMatch{l, r, score});
       }
     }

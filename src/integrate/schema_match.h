@@ -15,18 +15,6 @@ struct AttributeMatch {
   double score = 0;
 };
 
-struct SchemaMatchOptions {
-  /// Blend of the two matcher signals.
-  double name_weight = 0.5;
-  double value_weight = 0.5;
-  /// Pairs scoring below this are not matched. A pure value-overlap match
-  /// (renamed columns with shared instances) scores value_weight * Jaccard,
-  /// so the default admits renamed columns with >= ~60% value overlap.
-  double threshold = 0.3;
-  /// Values sampled per column for the instance-based matcher.
-  size_t value_sample = 256;
-};
-
 /// Hybrid schema matching (survey Sec. 6.3): a name-based matcher (q-gram
 /// Jaccard over attribute names) combined with an instance-based matcher
 /// (value-set Jaccard over sampled distinct values), with a type-mismatch
@@ -34,8 +22,6 @@ struct SchemaMatchOptions {
 /// every lake data-integration pipeline (Constance, ALITE).
 class SchemaMatcher {
  public:
-  explicit SchemaMatcher(SchemaMatchOptions options = {});
-
   /// Similarity of one column pair in [0,1].
   double ColumnSimilarity(const table::Table& left, size_t left_col,
                           const table::Table& right, size_t right_col) const;
@@ -43,9 +29,6 @@ class SchemaMatcher {
   /// Greedy 1:1 matching between the two schemas, highest score first.
   std::vector<AttributeMatch> Match(const table::Table& left,
                                     const table::Table& right) const;
-
- private:
-  SchemaMatchOptions options_;
 };
 
 }  // namespace lakekit::integrate

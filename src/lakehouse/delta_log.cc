@@ -1,6 +1,7 @@
 #include "lakehouse/delta_log.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "json/parser.h"
@@ -130,7 +131,12 @@ int64_t DeltaLog::FindCheckpoint(int64_t version) const {
   Result<std::string> last =
       store_->Get(prefix_ + "/_delta_log/_last_checkpoint");
   if (!last.ok()) return -1;
-  int64_t checkpoint_version = std::stoll(*last);
+  // An unparsable pointer counts as absent: commits are never deleted, so
+  // replaying all of them is exact.
+  int64_t checkpoint_version = 0;
+  const char* end = last->data() + last->size();
+  auto [ptr, ec] = std::from_chars(last->data(), end, checkpoint_version);
+  if (ec != std::errc() || ptr != end) return -1;
   if (checkpoint_version > version) {
     // Requested an older state: scan backwards for an older checkpoint (we
     // only track the latest pointer; fall back to full replay).

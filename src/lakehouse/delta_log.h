@@ -92,7 +92,8 @@ class DeltaLog {
   std::string CheckpointKey(int64_t version) const;
   Result<Commit> ReadCommit(int64_t version) const;
   Status ApplyCommit(const Commit& commit, Snapshot* snapshot) const;
-  /// Newest checkpoint version <= `version`, or -1.
+  /// Newest checkpoint version <= `version`, or -1 (also when the
+  /// `_last_checkpoint` pointer does not parse).
   int64_t FindCheckpoint(int64_t version) const;
 
   storage::ObjectStore* store_;

@@ -19,20 +19,23 @@ std::string_view RelationName(Relation r) {
   return "unknown";
 }
 
+size_t Ekg::NameHash::operator()(const Name& name) const {
+  return HashCombine(std::hash<std::string>{}(name.first),
+                     std::hash<std::string>{}(name.second));
+}
+
 Ekg::NodeId Ekg::AddNode(std::string_view table, std::string_view column) {
-  std::string name = std::string(table) + "." + std::string(column);
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) return it->second;
-  NodeId id = nodes_.size() + 1;
-  nodes_.push_back(Node{id, std::string(table), std::string(column)});
-  by_name_[name] = id;
-  return id;
+  auto [it, inserted] = by_name_.try_emplace(
+      {std::string(table), std::string(column)}, nodes_.size() + 1);
+  if (inserted) {
+    nodes_.push_back(Node{it->second, it->first.first, it->first.second});
+  }
+  return it->second;
 }
 
 std::optional<Ekg::NodeId> Ekg::FindNode(std::string_view table,
                                          std::string_view column) const {
-  auto it =
-      by_name_.find(std::string(table) + "." + std::string(column));
+  auto it = by_name_.find({std::string(table), std::string(column)});
   if (it == by_name_.end()) return std::nullopt;
   return it->second;
 }

@@ -51,10 +51,10 @@ class Ekg {
     std::vector<NodeId> nodes;
   };
 
-  /// Adds (or returns the existing) node for table.column.
+  /// Adds (or returns the existing) node for the (table, column) pair.
   NodeId AddNode(std::string_view table, std::string_view column);
 
-  /// Node lookup by full name; nullopt when absent.
+  /// Node lookup by (table, column); nullopt when absent.
   std::optional<NodeId> FindNode(std::string_view table,
                                  std::string_view column) const;
 
@@ -96,7 +96,13 @@ class Ekg {
   std::vector<Edge> edges_;
   std::unordered_map<uint64_t, size_t> edge_index_;
   std::unordered_map<NodeId, std::vector<size_t>> adjacency_;
-  std::unordered_map<std::string, NodeId> by_name_;
+  /// Keyed by the (table, column) pair: a joined "table.column" string
+  /// would give ("a.b", "c") and ("a", "b.c") one node.
+  using Name = std::pair<std::string, std::string>;
+  struct NameHash {
+    size_t operator()(const Name& name) const;
+  };
+  std::unordered_map<Name, NodeId, NameHash> by_name_;
   std::vector<Hyperedge> hyperedges_;
 };
 

@@ -9,7 +9,18 @@
 
 namespace lakekit::organize {
 
-DsKnnOrganizer::DsKnnOrganizer(DsKnnOptions options) : options_(options) {}
+namespace {
+
+/// Neighbors consulted per classification.
+constexpr size_t kNeighbors = 3;
+/// Below this similarity to every neighbor, the dataset founds a new
+/// category.
+constexpr double kNewCategoryThreshold = 0.55;
+/// Blend of schema-name Levenshtein similarity vs numeric feature
+/// similarity.
+constexpr double kNameWeight = 0.5;
+
+}  // namespace
 
 DatasetFeatures DsKnnOrganizer::ExtractFeatures(const table::Table& t) {
   DatasetFeatures f;
@@ -73,8 +84,7 @@ double DsKnnOrganizer::Similarity(const DatasetFeatures& a,
       6.0;
   double name_sim =
       text::LevenshteinSimilarity(a.schema_signature, b.schema_signature);
-  return options_.name_weight * name_sim +
-         (1.0 - options_.name_weight) * feature_sim;
+  return kNameWeight * name_sim + (1.0 - kNameWeight) * feature_sim;
 }
 
 size_t DsKnnOrganizer::AddDataset(const table::Table& t) {
@@ -87,17 +97,17 @@ size_t DsKnnOrganizer::AddDataset(const table::Table& t) {
   }
   std::sort(scored.begin(), scored.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  if (scored.size() > options_.k) scored.resize(options_.k);
+  if (scored.size() > kNeighbors) scored.resize(kNeighbors);
 
   size_t category;
-  if (scored.empty() || scored[0].first < options_.new_category_threshold) {
+  if (scored.empty() || scored[0].first < kNewCategoryThreshold) {
     category = categories_.size();
     categories_.emplace_back();
   } else {
     // Majority vote among neighbors above the threshold.
     std::map<size_t, size_t> votes;
     for (const auto& [sim, idx] : scored) {
-      if (sim >= options_.new_category_threshold) {
+      if (sim >= kNewCategoryThreshold) {
         ++votes[category_of_[idx]];
       }
     }

@@ -25,17 +25,6 @@ struct DatasetFeatures {
   std::string schema_signature;
 };
 
-struct DsKnnOptions {
-  /// Neighbors consulted per classification.
-  size_t k = 3;
-  /// Below this similarity to every neighbor, the dataset founds a new
-  /// category.
-  double new_category_threshold = 0.55;
-  /// Blend of schema-name Levenshtein similarity vs numeric feature
-  /// similarity.
-  double name_weight = 0.5;
-};
-
 /// DS-kNN: incremental dataset categorization. Each arriving dataset is
 /// compared (feature distance + Levenshtein over schema signatures) to the
 /// already-classified datasets; the majority category among its k nearest
@@ -43,8 +32,6 @@ struct DsKnnOptions {
 /// exactly the incremental organization loop the survey describes.
 class DsKnnOrganizer {
  public:
-  explicit DsKnnOrganizer(DsKnnOptions options = {});
-
   /// Feature extraction (data preparation step).
   static DatasetFeatures ExtractFeatures(const table::Table& t);
 
@@ -65,7 +52,6 @@ class DsKnnOrganizer {
   size_t CategoryOf(const std::string& dataset_name) const;
 
  private:
-  DsKnnOptions options_;
   std::vector<DatasetFeatures> classified_;
   std::vector<size_t> category_of_;  // parallel to classified_
   std::vector<std::vector<std::string>> categories_;

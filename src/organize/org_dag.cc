@@ -9,6 +9,12 @@ namespace lakekit::organize {
 
 namespace {
 
+/// Fan-out of internal nodes (children merged per agglomeration round).
+constexpr size_t kFanout = 4;
+/// Softmax temperature of the navigation Markov model: lower = sharper
+/// child choices.
+constexpr double kTemperature = 0.2;
+
 text::DenseVector MeanVector(const std::vector<text::DenseVector>& vectors) {
   text::DenseVector mean;
   if (vectors.empty()) return mean;
@@ -27,12 +33,11 @@ text::DenseVector MeanVector(const std::vector<text::DenseVector>& vectors) {
 
 }  // namespace
 
-Result<Organization> Organization::Build(const discovery::Corpus* corpus,
-                                         OrganizationOptions options) {
+Result<Organization> Organization::Build(const discovery::Corpus* corpus) {
   if (corpus->num_tables() == 0) {
     return Status::InvalidArgument("cannot organize an empty corpus");
   }
-  Organization org(corpus, options);
+  Organization org(corpus);
 
   // Leaves: one per table, topic = mean of textual column embeddings
   // (falling back to name-token embeddings when a table has no text).
@@ -61,7 +66,7 @@ Result<Organization> Organization::Build(const discovery::Corpus* corpus,
   }
 
   // Agglomerate bottom-up: greedily group the frontier into clusters of
-  // `fanout` topic-similar nodes until a single root remains.
+  // `kFanout` topic-similar nodes until a single root remains.
   while (frontier.size() > 1) {
     std::vector<bool> used(frontier.size(), false);
     std::vector<size_t> next_frontier;
@@ -80,8 +85,7 @@ Result<Organization> Organization::Build(const discovery::Corpus* corpus,
       }
       std::sort(sims.begin(), sims.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });
-      for (size_t s = 0; s < sims.size() && group.size() < options.fanout;
-           ++s) {
+      for (size_t s = 0; s < sims.size() && group.size() < kFanout; ++s) {
         used[sims[s].second] = true;
         group.push_back(frontier[sims[s].second]);
       }
@@ -121,7 +125,7 @@ std::vector<double> Organization::TransitionProbabilities(
   }
   double total = 0;
   for (size_t i = 0; i < sims.size(); ++i) {
-    probs[i] = std::exp((sims[i] - max_sim) / options_.temperature);
+    probs[i] = std::exp((sims[i] - max_sim) / kTemperature);
     total += probs[i];
   }
   for (double& p : probs) p /= total;

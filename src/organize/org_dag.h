@@ -28,14 +28,6 @@ struct OrgNode {
   bool is_leaf() const { return table_idx != static_cast<size_t>(-1); }
 };
 
-struct OrganizationOptions {
-  /// Fan-out of internal nodes (children merged per agglomeration round).
-  size_t fanout = 4;
-  /// Softmax temperature of the navigation Markov model: lower = sharper
-  /// child choices.
-  double temperature = 0.2;
-};
-
 /// A navigable organization of a data lake: a DAG (here a tree, the common
 /// case in the paper) over attribute sets, built bottom-up by grouping
 /// topic-similar tables, with a Markov navigation model: from any node, the
@@ -46,8 +38,7 @@ struct OrganizationOptions {
 class Organization {
  public:
   /// Builds the organization over every table of the corpus.
-  static Result<Organization> Build(const discovery::Corpus* corpus,
-                                    OrganizationOptions options = {});
+  static Result<Organization> Build(const discovery::Corpus* corpus);
 
   const std::vector<OrgNode>& nodes() const { return nodes_; }
   size_t root() const { return root_; }
@@ -70,15 +61,13 @@ class Organization {
   double MeanDepth() const;
 
  private:
-  Organization(const discovery::Corpus* corpus, OrganizationOptions options)
-      : corpus_(corpus), options_(options) {}
+  explicit Organization(const discovery::Corpus* corpus) : corpus_(corpus) {}
 
   /// Transition distribution over `node`'s children for a query vector.
   std::vector<double> TransitionProbabilities(
       const OrgNode& node, const text::DenseVector& query) const;
 
   const discovery::Corpus* corpus_;
-  OrganizationOptions options_;
   std::vector<OrgNode> nodes_;
   size_t root_ = 0;
 };

@@ -8,11 +8,15 @@
 
 namespace lakekit::organize {
 
-RoninExplorer::RoninExplorer(const discovery::Corpus* corpus,
-                             const Organization* org,
-                             const discovery::JosieFinder* josie,
-                             RoninOptions options)
-    : corpus_(corpus), org_(org), josie_(josie), options_(options) {}
+namespace {
+
+/// Blend weights of the three exploration modes.
+constexpr double kNavigationWeight = 0.5;
+constexpr double kKeywordWeight = 0.5;
+/// Joinable neighbors of seed tables get seed_score * this.
+constexpr double kJoinExpansionFactor = 0.5;
+
+}  // namespace
 
 double RoninExplorer::KeywordScore(
     size_t table_idx, const std::vector<std::string>& query_terms) const {
@@ -47,8 +51,8 @@ std::vector<RoninHit> RoninExplorer::Explore(
     hit.table_name = corpus_->table(t).name();
     hit.navigation_score = org_->DiscoveryProbability(query_terms, t);
     hit.keyword_score = KeywordScore(t, query_terms);
-    hit.score = options_.navigation_weight * hit.navigation_score +
-                options_.keyword_weight * hit.keyword_score;
+    hit.score = kNavigationWeight * hit.navigation_score +
+                kKeywordWeight * hit.keyword_score;
     hits[t] = std::move(hit);
   }
 
@@ -67,7 +71,7 @@ std::vector<RoninHit> RoninExplorer::Explore(
     const double seed_score = hits[seed].score;
     for (const auto& match : josie_->TopKJoinableTables(seed, k)) {
       RoninHit& hit = hits[match.table_idx];
-      double bonus = seed_score * options_.join_expansion_factor;
+      double bonus = seed_score * kJoinExpansionFactor;
       if (bonus > hit.join_score) {
         hit.score += bonus - hit.join_score;
         hit.join_score = bonus;

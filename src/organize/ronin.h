@@ -21,14 +21,6 @@ struct RoninHit {
   double join_score = 0;
 };
 
-struct RoninOptions {
-  /// Blend weights of the three exploration modes.
-  double navigation_weight = 0.5;
-  double keyword_weight = 0.5;
-  /// Joinable neighbors of seed tables get seed_score * this.
-  double join_expansion_factor = 0.5;
-};
-
 /// RONIN (survey Sec. 6.1.3): interactive data lake exploration that
 /// *combines* the organization DAG's navigation with metadata keyword
 /// search and joinable-dataset search. A query of free-text terms is scored
@@ -40,7 +32,8 @@ class RoninExplorer {
  public:
   /// All inputs must outlive the explorer. `josie` must be built.
   RoninExplorer(const discovery::Corpus* corpus, const Organization* org,
-                const discovery::JosieFinder* josie, RoninOptions options = {});
+                const discovery::JosieFinder* josie)
+      : corpus_(corpus), org_(org), josie_(josie) {}
 
   /// Top-k tables for a free-text query.
   std::vector<RoninHit> Explore(const std::vector<std::string>& query_terms,
@@ -55,7 +48,6 @@ class RoninExplorer {
   const discovery::Corpus* corpus_;
   const Organization* org_;
   const discovery::JosieFinder* josie_;
-  RoninOptions options_;
 };
 
 }  // namespace lakekit::organize

@@ -129,10 +129,9 @@ std::vector<DirtyTuple> ConstraintChecker::RankDirtyTuples(
 }
 
 std::vector<DirtyTuple> ConstraintChecker::InferAndRank(
-    const table::Table& t, const enrich::RfdOptions& rfd_options) {
+    const table::Table& t) {
   std::vector<DenialConstraint> constraints;
-  for (const enrich::RelaxedFd& fd :
-       enrich::DiscoverRelaxedFds(t, rfd_options)) {
+  for (const enrich::RelaxedFd& fd : enrich::DiscoverRelaxedFds(t)) {
     constraints.push_back(DenialConstraint::FromFd(fd));
   }
   return RankDirtyTuples(t, constraints);

@@ -58,8 +58,7 @@ class ConstraintChecker {
   /// End-to-end CLAMS-style inference: discovers relaxed FDs in the table,
   /// converts them to denial constraints, and ranks the violating tuples —
   /// the candidates a user is asked to confirm for removal.
-  static std::vector<DirtyTuple> InferAndRank(
-      const table::Table& t, const enrich::RfdOptions& rfd_options = {});
+  static std::vector<DirtyTuple> InferAndRank(const table::Table& t);
 };
 
 }  // namespace lakekit::quality

@@ -388,6 +388,25 @@ TEST_F(CatalogTest, UnparsableEntryIsSkippedNotFatal) {
   EXPECT_EQ(catalog->Search("garbled").size(), 1u);
 }
 
+// A stored clock that is not a number is Corruption, not a process abort.
+TEST_F(CatalogTest, UnparsableClockIsCorruption) {
+  {
+    auto catalog = Catalog::Open(dir_);
+    ASSERT_TRUE(catalog.ok());
+    ASSERT_TRUE(catalog->Register(MakeEntry("good")).ok());
+  }
+  for (const char* clock :
+       {"not-a-number", "", "12x", "99999999999999999999"}) {
+    SCOPED_TRACE(clock);
+    {
+      auto store = storage::KvStore::Open(dir_);
+      ASSERT_TRUE(store.ok());
+      ASSERT_TRUE((*store)->Put("meta/clock", clock).ok());
+    }
+    EXPECT_EQ(Catalog::Open(dir_).status().code(), StatusCode::kCorruption);
+  }
+}
+
 TEST_F(CatalogTest, JsonRoundTripPreservesAllCategories) {
   DatasetEntry e = MakeEntry("full");
   e.sources = {"upstream1", "upstream2"};

@@ -183,14 +183,6 @@ class AurumTest : public DiscoveryTest {
 
 AurumFinder* AurumTest::finder_ = nullptr;
 
-TEST_F(AurumTest, LshConfigValidated) {
-  AurumOptions bad;
-  bad.lsh_bands = 3;
-  bad.lsh_rows = 3;  // 9 != 128
-  AurumFinder invalid(corpus_, bad);
-  EXPECT_TRUE(invalid.Build().IsInvalidArgument());
-}
-
 TEST_F(AurumTest, FindsPlantedJoinablePairs) {
   size_t found = 0;
   for (const auto& pair : lake_->planted) {

@@ -363,6 +363,27 @@ TEST_F(LakehouseTest, CheckpointedTableStillTimeTravels) {
   EXPECT_EQ(t->Read(2)->num_rows(), 4u);  // pre-checkpoint version
 }
 
+// A `_last_checkpoint` pointer that does not parse counts as absent: every
+// commit is replayed, so reads at any version stay exact.
+TEST_F(LakehouseTest, UnparsableCheckpointPointerReplaysTheLog) {
+  auto t = DeltaTable::Create(store_.get(), "orders", OrdersSchema());
+  ASSERT_TRUE(t.ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(t->Append(OrdersRows(i * 10, 2)).ok());
+  }
+  ASSERT_TRUE(t->Checkpoint().ok());
+  ASSERT_TRUE(t->Append(OrdersRows(30, 2)).ok());
+  for (const char* pointer : {"garbage", "", "3x"}) {
+    SCOPED_TRACE(pointer);
+    ASSERT_TRUE(
+        store_->Put("tables/orders/_delta_log/_last_checkpoint", pointer).ok());
+    auto reopened = DeltaTable::Open(store_.get(), "orders");
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened->Read()->num_rows(), 8u);
+    EXPECT_EQ(reopened->Read(2)->num_rows(), 4u);
+  }
+}
+
 TEST_F(LakehouseTest, HistoryAfterMixedOperations) {
   auto t = DeltaTable::Create(store_.get(), "orders", OrdersSchema());
   ASSERT_TRUE(t.ok());

@@ -149,6 +149,20 @@ TEST(EkgTest, NodesAreDedupedByName) {
   EXPECT_EQ(ekg.GetNode(a)->FullName(), "orders.id");
 }
 
+// Dataset "a.b"'s column "c" and dataset "a"'s column "b.c" share the
+// string "a.b.c" but are two columns, so two nodes.
+TEST(EkgTest, NamesWithDotsStayDistinct) {
+  Ekg ekg;
+  auto left = ekg.AddNode("a.b", "c");
+  auto right = ekg.AddNode("a", "b.c");
+  EXPECT_NE(left, right);
+  EXPECT_EQ(ekg.num_nodes(), 2u);
+  EXPECT_EQ(*ekg.FindNode("a.b", "c"), left);
+  EXPECT_EQ(*ekg.FindNode("a", "b.c"), right);
+  EXPECT_EQ(ekg.GetNode(right)->table, "a");
+  EXPECT_EQ(ekg.GetNode(right)->column, "b.c");
+}
+
 TEST(EkgTest, EdgesWithWeightsAndUpdate) {
   Ekg ekg;
   auto a = ekg.AddNode("t1", "c1");
