@@ -262,7 +262,8 @@ void BM_Discovery_AllPairs_BruteForce(benchmark::State& state) {
 /// Fixture-construction cost, serial vs. parallel: corpus sketch building
 /// (and lake generation below) is the wall-time floor of every experiment
 /// here, and the first hot path driven by the execution layer. Serial is
-/// the same batch on a one-worker pool (the calling thread helps drain it).
+/// the same batch on a one-worker pool (the calling thread claims indices
+/// beside the one worker).
 /// The two variants produce bit-identical corpora (see CorpusParallelTest);
 /// the ratio of their times is the thread-pool speedup on this machine.
 void BM_Discovery_CorpusBuild_Serial(benchmark::State& state) {

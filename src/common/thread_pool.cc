@@ -1,10 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -35,18 +34,6 @@ void ThreadPool::Submit(std::function<void()> task) {
     queue_.push_back(std::move(task));
   }
   cv_.NotifyOne();
-}
-
-bool ThreadPool::TryRunOneTask() {
-  std::function<void()> task;
-  {
-    MutexLock lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  return true;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -83,116 +70,91 @@ size_t ThreadPool::DefaultThreads() {
 
 namespace {
 
-/// Completion state shared between the chunks of one ParallelFor call.
-struct ForState {
+/// What one ParallelFor call shares with its helper tasks. Helpers hold it
+/// by shared_ptr, so a helper the pool starts after the call returned still
+/// finds it, claims nothing and never touches `fn`. Offsets [0, n) stand for
+/// the indices [begin, begin + n).
+struct ForCall {
+  ForCall(size_t begin, size_t n, const std::function<Status(size_t)>* fn)
+      : begin(begin), n(n), fn(fn), remaining(n), lowest_failed(n) {}
+
+  /// Claims and runs offsets until none is left to claim. Returns true when
+  /// this thread finished the call's last offset.
+  bool Work();
+
+  const size_t begin;  // unguarded: immutable
+  const size_t n;      // unguarded: immutable
+  /// Called only for a claimed offset, and the call does not return while a
+  /// claimed offset is unfinished.
+  const std::function<Status(size_t)>* const fn;  // unguarded: immutable
+  std::atomic<size_t> next{0};
+  /// Offsets not yet finished, run or skipped.
+  std::atomic<size_t> remaining;
+  /// The lowest failing offset so far, n while none; stored under `mu`.
+  std::atomic<size_t> lowest_failed;
   Mutex mu;
+  /// Signalled by the helper that finishes the last offset.
   CondVar done;
-  size_t pending LAKEKIT_GUARDED_BY(mu) = 0;
-  /// From the lowest failing chunk.
-  Status first_error LAKEKIT_GUARDED_BY(mu);
-  size_t first_error_chunk LAKEKIT_GUARDED_BY(mu) =
-      std::numeric_limits<size_t>::max();
+  Status error LAKEKIT_GUARDED_BY(mu);
 };
+
+Status RunIndex(const std::function<Status(size_t)>& fn, size_t i) {
+  try {
+    return fn(i);
+  } catch (const std::exception& e) {
+    return Status::Internal(
+        std::string("uncaught exception in ParallelFor: ") + e.what());
+  } catch (...) {
+    return Status::Internal("uncaught non-std exception in ParallelFor");
+  }
+}
+
+bool ForCall::Work() {
+  bool last = false;
+  for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+       i = next.fetch_add(1, std::memory_order_relaxed)) {
+    // An offset above a failed one cannot change the result. A stale read
+    // only runs it anyway; every offset below the lowest failure runs.
+    if (i < lowest_failed.load(std::memory_order_relaxed)) {
+      Status s = RunIndex(*fn, begin + i);
+      if (!s.ok()) {
+        MutexLock lock(mu);
+        if (i < lowest_failed.load(std::memory_order_relaxed)) {
+          error = std::move(s);
+          lowest_failed.store(i, std::memory_order_relaxed);
+        }
+      }
+    }
+    // Release: the caller's acquire load of 0 sees every offset's writes.
+    last = remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
+  }
+  return last;
+}
 
 }  // namespace
 
 Status ParallelFor(size_t begin, size_t end,
-                   const std::function<Status(size_t)>& fn,
-                   const ParallelOptions& options) {
+                   const std::function<Status(size_t)>& fn, ThreadPool* pool) {
   if (end <= begin) return Status::OK();
-  const size_t n = end - begin;
-  ThreadPool& pool = options.pool ? *options.pool : ThreadPool::Default();
-
-  size_t grain = options.grain;
-  if (grain == 0) {
-    grain = std::max<size_t>(1, n / std::max<size_t>(1, pool.size() * 4));
-  }
-  const size_t num_chunks = (n + grain - 1) / grain;
-
-  // One chunk: run it inline, no queue traffic.
-  auto run_range = [&fn](size_t lo, size_t hi) -> Status {
-    Status s;
-    try {
-      for (size_t i = lo; i < hi && s.ok(); ++i) {
-        s = fn(i);
+  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Default();
+  auto call = std::make_shared<ForCall>(begin, end - begin, &fn);
+  const size_t helpers = std::min(p.size(), call->n - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    p.Submit([call] {
+      if (call->Work()) {
+        // Under the lock, so the wakeup cannot fall between the caller's
+        // check of `remaining` and its wait.
+        MutexLock lock(call->mu);
+        call->done.NotifyAll();
       }
-    } catch (const std::exception& e) {
-      s = Status::Internal(std::string("uncaught exception in ParallelFor: ") +
-                           e.what());
-    } catch (...) {
-      s = Status::Internal("uncaught non-std exception in ParallelFor");
-    }
-    return s;
-  };
-  if (num_chunks == 1) return run_range(begin, end);
-
-  auto state = std::make_shared<ForState>();
-  state->pending = num_chunks;
-
-  auto finish_chunk = [state](size_t chunk, Status s) {
-    bool last = false;
-    {
-      MutexLock lock(state->mu);
-      if (!s.ok() && chunk < state->first_error_chunk) {
-        state->first_error = std::move(s);
-        state->first_error_chunk = chunk;
-      }
-      last = (--state->pending == 0);
-    }
-    // Notify outside the lock; waiters re-check pending under it, so the
-    // wakeup cannot be lost.
-    if (last) state->done.NotifyAll();
-  };
-
-  // Cancellation gate, run before a chunk starts: a chunk is skipped when
-  // a *lower* chunk already failed. That preserves the deterministic
-  // lowest-chunk-wins contract: every chunk below the eventual winner still
-  // runs (by induction, none of them can have been skipped), so the winning
-  // error is the one the run-everything execution would have returned —
-  // only work above it is shed.
-  auto run_chunk = [state, finish_chunk, &run_range](size_t c, size_t lo,
-                                                     size_t hi) {
-    bool skip = false;
-    {
-      MutexLock lock(state->mu);
-      skip = state->first_error_chunk < c;
-    }
-    // A skipped chunk reports OK: it contributes no error and no work.
-    finish_chunk(c, skip ? Status::OK() : run_range(lo, hi));
-  };
-
-  // Chunks 1..num_chunks-1 go to the pool; the caller runs chunk 0 itself.
-  // `fn` and `run_range` are captured by reference: the caller blocks below
-  // until every chunk has finished, so they outlive all tasks.
-  for (size_t c = 1; c < num_chunks; ++c) {
-    const size_t lo = begin + c * grain;
-    const size_t hi = std::min(end, lo + grain);
-    pool.Submit([c, lo, hi, run_chunk] { run_chunk(c, lo, hi); });
+    });
   }
-  run_chunk(0, begin, std::min(end, begin + grain));
-
-  // Wait for the remaining chunks, helping drain the queue instead of
-  // sleeping while tasks are runnable: this is what makes nested
-  // ParallelFor on one pool deadlock-free — every thread that enqueues work
-  // also participates in running it.
-  for (;;) {
-    {
-      MutexLock lock(state->mu);
-      if (state->pending == 0) break;
-    }
-    if (!pool.TryRunOneTask()) {
-      MutexLock lock(state->mu);
-      // Nothing runnable: our chunks are executing on other threads. Wake
-      // on completion, or re-check shortly in case new (nested) tasks we
-      // could help with have arrived.
-      if (state->pending != 0) {
-        state->done.WaitFor(state->mu, std::chrono::milliseconds(1));
-      }
-    }
+  call->Work();
+  MutexLock lock(call->mu);
+  while (call->remaining.load(std::memory_order_acquire) != 0) {
+    call->done.Wait(call->mu);
   }
-
-  MutexLock lock(state->mu);
-  return state->first_error;
+  return std::move(call->error);
 }
 
 }  // namespace lakekit

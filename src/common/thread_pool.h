@@ -17,17 +17,16 @@ namespace lakekit {
 /// A fixed-size work-queue thread pool — lakekit's execution layer.
 ///
 /// Every parallel hot path (corpus sketch building, discovery index
-/// verification, workload generation, brute-force sharding) runs through one
-/// of these, usually via `ParallelFor`/`ParallelMap` below. The pool is
-/// deliberately simple: a mutex-guarded deque of `std::function<void()>`
-/// tasks drained by `num_threads` workers. What makes it safe for nested use
-/// is `TryRunOneTask`: a thread that blocks waiting for its own batch to
-/// finish *helps drain the queue* instead of sleeping, so a task running on
-/// the pool may itself call `ParallelFor` on the same pool without deadlock.
+/// verification, workload generation, brute-force sharding, query morsels)
+/// runs through one of these via `ParallelFor`/`ParallelMap` below. The pool
+/// is deliberately simple: a mutex-guarded deque of `std::function<void()>`
+/// tasks drained by `num_threads` workers. Nothing waits on the queue: a
+/// `ParallelFor` call can finish on its calling thread alone, so a task
+/// running on the pool may itself call `ParallelFor` on the same pool.
 ///
-/// Thread safety: `Submit`/`TryRunOneTask` may be called from any thread.
-/// Submitted tasks must not throw (use `ParallelFor`, which converts
-/// exceptions to `Status`, when the work can fail).
+/// Thread safety: `Submit` may be called from any thread. Submitted tasks
+/// must not throw (use `ParallelFor`, which converts exceptions to `Status`,
+/// when the work can fail).
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (clamped to at least 1).
@@ -39,13 +38,8 @@ class ThreadPool {
 
   size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task for execution by a worker (or a helping waiter).
+  /// Enqueues a task for execution by a worker.
   void Submit(std::function<void()> task);
-
-  /// Pops and runs one queued task on the calling thread, if one is ready.
-  /// Returns false when the queue was empty. Used by `ParallelFor` waiters
-  /// to help instead of blocking — the mechanism that makes nesting safe.
-  bool TryRunOneTask();
 
   /// The process-wide default pool, sized from `DefaultThreads()`. Built on
   /// first use; lives for the remainder of the process.
@@ -68,39 +62,33 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Tuning for ParallelFor/ParallelMap.
-struct ParallelOptions {
-  /// Pool to run on; nullptr means `ThreadPool::Default()`.
-  ThreadPool* pool = nullptr;
-  /// Indices per task. 0 picks automatically (~4 chunks per worker, at
-  /// least 1 index each). Tests use grain=1 to pin chunk == index.
-  size_t grain = 0;
-};
-
-/// Runs `fn(i)` for every i in [begin, end) across the pool, blocking until
-/// all iterations finish. The calling thread participates (it runs the first
-/// chunk, then helps drain the queue), so the pool being busy can only slow
-/// this call down, never deadlock it.
+/// Runs `fn(i)` for every i in [begin, end) on `pool` (nullptr means
+/// `ThreadPool::Default()`), blocking until all iterations finish. The
+/// calling thread and at most `pool->size()` helper tasks claim indices one
+/// at a time from a shared counter. The caller keeps claiming until none is
+/// left, so the call finishes on the caller alone when every worker is busy;
+/// it then waits only for the indices other threads are still running. The
+/// caller never runs another call's work, and nesting needs no queue
+/// draining.
 ///
-/// Error contract: the returned Status is the error from the *lowest*
-/// failing chunk — deterministic regardless of thread interleaving. The
-/// first error cancels chunks that have not yet started and sit *above* the
-/// failing chunk; everything below it still runs, which is exactly what
-/// keeps the lowest-failing-chunk result identical to the run-everything
-/// execution. Exceptions thrown by `fn` are caught and reported as
-/// `Status::Internal`. Interruption is `fn`'s to check: the query
-/// operators test their cancel token and deadline once per morsel and
-/// return the error, which then cancels the chunks above it like any other.
+/// Error contract: the returned Status is the serial loop's, the error of
+/// the *lowest* failing index, whatever the interleaving. Once an index
+/// fails, indices above it that have not started are skipped; every index
+/// below it still runs, so the lowest failing index is the one the serial
+/// loop would have stopped at. Exceptions thrown by `fn` are caught and
+/// reported as `Status::Internal`. Interruption is `fn`'s to check: the
+/// query operators test their cancel token and deadline once per morsel and
+/// return the error, which then skips the indices above it like any other.
 Status ParallelFor(size_t begin, size_t end,
                    const std::function<Status(size_t)>& fn,
-                   const ParallelOptions& options = {});
+                   ThreadPool* pool = nullptr);
 
 /// Maps [0, n) through `fn` (returning Result<T>) into a pre-sized vector so
 /// out[i] only ever depends on i: output order — and content, for a
 /// deterministic fn — is identical no matter the thread count.
 template <typename T, typename Fn>
 Result<std::vector<T>> ParallelMap(size_t n, Fn&& fn,
-                                   const ParallelOptions& options = {}) {
+                                   ThreadPool* pool = nullptr) {
   std::vector<T> out(n);
   LAKEKIT_RETURN_IF_ERROR(ParallelFor(
       0, n,
@@ -108,7 +96,7 @@ Result<std::vector<T>> ParallelMap(size_t n, Fn&& fn,
         LAKEKIT_ASSIGN_OR_RETURN(out[i], fn(i));
         return Status::OK();
       },
-      options));
+      pool));
   return out;
 }
 

@@ -38,8 +38,6 @@ std::vector<std::pair<ColumnId, ColumnId>> BruteForceFinder::AllJoinablePairs(
   // i-outer / j-inner order of the single-threaded loop exactly.
   std::vector<std::vector<std::pair<ColumnId, ColumnId>>> rows(
       sketches.size());
-  ParallelOptions par;
-  par.pool = pool;
   // The per-row lambda is infallible, so a failure here can only be a bug.
   LAKEKIT_CHECK_OK(ParallelFor(
       0, sketches.size(),
@@ -52,7 +50,7 @@ std::vector<std::pair<ColumnId, ColumnId>> BruteForceFinder::AllJoinablePairs(
         }
         return Status::OK();
       },
-      par));
+      pool));
   std::vector<std::pair<ColumnId, ColumnId>> out;
   for (std::vector<std::pair<ColumnId, ColumnId>>& row : rows) {
     out.insert(out.end(), row.begin(), row.end());

@@ -157,8 +157,6 @@ Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
   // and BuildSketch reads only const state (tables_, minhasher_, embedder_),
   // so the result does not depend on the pool's size.
   std::vector<text::StringCounter> values(slots.size());
-  ParallelOptions par;
-  par.pool = pool;
   LAKEKIT_RETURN_IF_ERROR(ParallelFor(
       0, slots.size(),
       [&](size_t i) -> Status {
@@ -170,7 +168,7 @@ Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
                         embedder_, &values[i]);
         return Status::OK();
       },
-      par));
+      pool));
 
   // Serial interning in slot order, each column in first-seen order, so ids
   // follow (table, column, row) whatever the pool or the batching; the
@@ -192,7 +190,7 @@ Result<std::vector<size_t>> Corpus::AddTables(std::vector<table::Table> tables,
         std::sort(s.sorted_values.begin(), s.sorted_values.end());
         return Status::OK();
       },
-      par));
+      pool));
   return indexes;
 }
 

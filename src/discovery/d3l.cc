@@ -33,8 +33,6 @@ Status D3lFinder::Build(ThreadPool* pool) {
   // the order-sensitive LSH insertions serially over the results.
   text::MinHasher name_hasher(kNameMinHashSize, /*seed=*/23);
   name_signatures_.assign(sketches.size(), text::MinHashSignature());
-  ParallelOptions par;
-  par.pool = pool;
   LAKEKIT_RETURN_IF_ERROR(ParallelFor(
       0, sketches.size(),
       [&](size_t i) -> Status {
@@ -42,7 +40,7 @@ Status D3lFinder::Build(ThreadPool* pool) {
             name_hasher.Compute(text::QGrams(sketches[i].column_name, 3));
         return Status::OK();
       },
-      par));
+      pool));
   for (size_t i = 0; i < sketches.size(); ++i) {
     value_lsh_->Insert(sketches[i].id.Packed(), sketches[i].minhash);
     name_lsh_->Insert(sketches[i].id.Packed(), name_signatures_[i]);

@@ -1,5 +1,6 @@
 #include "discovery/pexeso.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -91,11 +92,10 @@ std::vector<ColumnMatch> PexesoFinder::TopKSemanticJoinableColumns(
   // For each query value, the set of candidate columns holding a matching
   // vector; accumulate per-column matched-value counts.
   std::unordered_map<uint64_t, size_t> matched_counts;
-  size_t considered = 0;
-  for (uint32_t value : q.distinct_values) {
-    if (considered++ >= kValueCap) break;
-    text::DenseVector qv =
-        corpus_->embedder().Embed(corpus_->dictionary()[value]);
+  const size_t considered = std::min(q.distinct_values.size(), kValueCap);
+  for (size_t v = 0; v < considered; ++v) {
+    text::DenseVector qv = corpus_->embedder().Embed(
+        corpus_->dictionary()[q.distinct_values[v]]);
     std::unordered_set<uint64_t> columns_with_match;
     for (size_t entry_idx : Probe(qv)) {
       const Entry& e = entries_[entry_idx];

@@ -117,12 +117,10 @@ Result<table::Table> FullDisjunction(const std::vector<table::Table>& sources,
   return out;
 }
 
-Result<table::Table> IntegrateTables(const std::vector<table::Table>& sources,
-                                     const SchemaMatcher& matcher,
-                                     const FullDisjunctionOptions& options) {
+Result<table::Table> IntegrateTables(const std::vector<table::Table>& sources) {
   LAKEKIT_ASSIGN_OR_RETURN(IntegrationResult integration,
-                           IntegrateSchemas(sources, matcher));
-  return FullDisjunction(sources, integration, options);
+                           IntegrateSchemas(sources));
+  return FullDisjunction(sources, integration);
 }
 
 }  // namespace lakekit::integrate

@@ -31,9 +31,7 @@ Result<table::Table> FullDisjunction(
     const FullDisjunctionOptions& options = {});
 
 /// Convenience: integrate + full-disjoin in one call.
-Result<table::Table> IntegrateTables(const std::vector<table::Table>& sources,
-                                     const SchemaMatcher& matcher = SchemaMatcher(),
-                                     const FullDisjunctionOptions& options = {});
+Result<table::Table> IntegrateTables(const std::vector<table::Table>& sources);
 
 }  // namespace lakekit::integrate
 

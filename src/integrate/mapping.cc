@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "integrate/schema_match.h"
+
 namespace lakekit::integrate {
 
 namespace {
@@ -28,7 +30,7 @@ class UnionFind {
 }  // namespace
 
 Result<IntegrationResult> IntegrateSchemas(
-    const std::vector<table::Table>& sources, const SchemaMatcher& matcher) {
+    const std::vector<table::Table>& sources) {
   if (sources.empty()) {
     return Status::InvalidArgument("no sources to integrate");
   }
@@ -40,6 +42,7 @@ Result<IntegrationResult> IntegrateSchemas(
     total_slots += sources[s].num_columns();
   }
   UnionFind uf(total_slots);
+  const SchemaMatcher matcher;
 
   // Pairwise matching; union matched slots (transitively merges columns
   // matched through intermediaries).

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "integrate/schema_match.h"
 #include "table/table.h"
 
 namespace lakekit::integrate {
@@ -32,8 +31,7 @@ struct IntegrationResult {
 /// attribute names take the first source's spelling; types widen on
 /// conflict by the table widening rule (`table::WidenType`).
 Result<IntegrationResult> IntegrateSchemas(
-    const std::vector<table::Table>& sources,
-    const SchemaMatcher& matcher = SchemaMatcher());
+    const std::vector<table::Table>& sources);
 
 /// Materializes the integrated table: every source row is mapped into the
 /// integrated schema (missing attributes become NULL) — the outer-union

@@ -38,12 +38,6 @@ Status CheckInterrupt(const ExecOptions& opts) {
 
 namespace {
 
-/// Interruption is not the pool's: every operator lambda runs
-/// `CheckInterrupt` before its morsel.
-ParallelOptions PoolOptions(const ExecOptions& opts) {
-  return {.pool = opts.pool};
-}
-
 /// Morsel m covers input rows [MorselBegin(m), MorselEnd(m, rows)).
 size_t MorselBegin(size_t m) { return m * kMorselSize; }
 size_t MorselEnd(size_t m, size_t rows) {
@@ -106,7 +100,7 @@ Result<Table> Filter(const Table& input, const Expr& predicate,
                 compiled.EvalSelection(input, begin, end, &sel));
             return sel;
           },
-          PoolOptions(opts)));
+          opts.pool));
   if (stats != nullptr) {
     stats->morsels_total += num_morsels;
     for (uint8_t v : verdicts) {
@@ -199,7 +193,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
         }
         return Status::OK();
       },
-      PoolOptions(opts)));
+      opts.pool));
   const size_t buckets = BucketCount(n_right);
   const uint64_t mask = buckets - 1;
   std::vector<uint32_t> head(buckets, kNoMatch);
@@ -250,7 +244,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
                 out_m.capacity() * sizeof(std::pair<uint32_t, uint32_t>)));
             return out_m;
           },
-          PoolOptions(opts)));
+          opts.pool));
 
   // Ordered columnar gather: flatten the match lists into one row-index
   // array per side (an unmatched left row reads NULL on the right).
@@ -749,7 +743,7 @@ Result<Table> Aggregate(const Table& input,
                                  group_idx.size() * sizeof(Value))));
             return p;
           },
-          PoolOptions(opts)));
+          opts.pool));
 
   const size_t naggs = aggs.size();
   // Upper-bound the merged table by the sum of the per-morsel group counts

@@ -97,8 +97,6 @@ JoinableLake MakeJoinableLake(const JoinableLakeOptions& options,
   for (size_t t = 0; t < options.num_tables; ++t) {
     lake.tables.emplace_back("table" + std::to_string(t), schema);
   }
-  ParallelOptions par;
-  par.pool = pool;
   // The per-table lambda is infallible (rows match the schema by
   // construction), so a failure here can only be a bug.
   LAKEKIT_CHECK_OK(ParallelFor(
@@ -123,7 +121,7 @@ JoinableLake MakeJoinableLake(const JoinableLakeOptions& options,
         }
         return Status::OK();
       },
-      par));
+      pool));
 
   for (size_t p = 0; p < pair_slots.size(); ++p) {
     const auto& [a, b] = pair_slots[p];

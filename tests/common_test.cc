@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -292,8 +293,6 @@ TEST(ThreadPoolTest, SizeClampsToAtLeastOne) {
 
 TEST(ParallelForTest, EmptyRangeIsOkAndRunsNothing) {
   ThreadPool pool(2);
-  ParallelOptions par;
-  par.pool = &pool;
   std::atomic<int> calls{0};
   Status s = ParallelFor(
       5, 5,
@@ -301,16 +300,13 @@ TEST(ParallelForTest, EmptyRangeIsOkAndRunsNothing) {
         ++calls;
         return Status::OK();
       },
-      par);
+      &pool);
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ParallelForTest, ManyMoreTasksThanThreadsCoverEveryIndex) {
   ThreadPool pool(3);
-  ParallelOptions par;
-  par.pool = &pool;
-  par.grain = 1;  // one task per index: 1000 tasks on 3 threads
   std::vector<std::atomic<int>> hits(1000);
   Status s = ParallelFor(
       0, hits.size(),
@@ -318,7 +314,7 @@ TEST(ParallelForTest, ManyMoreTasksThanThreadsCoverEveryIndex) {
         ++hits[i];
         return Status::OK();
       },
-      par);
+      &pool);
   ASSERT_TRUE(s.ok());
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
@@ -327,8 +323,6 @@ TEST(ParallelForTest, ManyMoreTasksThanThreadsCoverEveryIndex) {
 
 TEST(ParallelForTest, SizeOnePoolIsTheSerialOptOut) {
   ThreadPool pool(1);
-  ParallelOptions par;
-  par.pool = &pool;
   std::atomic<size_t> sum{0};
   ASSERT_TRUE(ParallelFor(
                   0, 100,
@@ -336,16 +330,13 @@ TEST(ParallelForTest, SizeOnePoolIsTheSerialOptOut) {
                     sum += i;
                     return Status::OK();
                   },
-                  par)
+                  &pool)
                   .ok());
   EXPECT_EQ(sum.load(), 4950u);
 }
 
-TEST(ParallelForTest, ReturnsErrorFromLowestFailingChunk) {
+TEST(ParallelForTest, ReturnsErrorFromLowestFailingIndex) {
   ThreadPool pool(4);
-  ParallelOptions par;
-  par.pool = &pool;
-  par.grain = 1;  // chunk == index, so "lowest chunk" is deterministic
   Status s = ParallelFor(
       0, 500,
       [&](size_t i) -> Status {
@@ -354,7 +345,7 @@ TEST(ParallelForTest, ReturnsErrorFromLowestFailingChunk) {
         }
         return Status::OK();
       },
-      par);
+      &pool);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_EQ(s.message(), "bad index 123");
@@ -362,16 +353,13 @@ TEST(ParallelForTest, ReturnsErrorFromLowestFailingChunk) {
 
 TEST(ParallelForTest, ExceptionBecomesInternalStatus) {
   ThreadPool pool(2);
-  ParallelOptions par;
-  par.pool = &pool;
-  par.grain = 1;
   Status s = ParallelFor(
       0, 16,
       [&](size_t i) -> Status {
         if (i == 7) throw std::runtime_error("boom");
         return Status::OK();
       },
-      par);
+      &pool);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
   EXPECT_NE(s.message().find("boom"), std::string::npos);
@@ -379,12 +367,9 @@ TEST(ParallelForTest, ExceptionBecomesInternalStatus) {
 
 TEST(ParallelForTest, NestedUseOnOnePoolDoesNotDeadlock) {
   // Outer iterations run on pool workers and each starts an inner
-  // ParallelFor on the *same* pool; the helping waiters must drain the
-  // nested tasks instead of sleeping, or this test hangs.
+  // ParallelFor on the *same* pool. An inner call can finish on the thread
+  // that made it, so it never waits on a queue its own worker should drain.
   ThreadPool pool(2);
-  ParallelOptions par;
-  par.pool = &pool;
-  par.grain = 1;
   std::atomic<int> leaf{0};
   Status s = ParallelFor(
       0, 8,
@@ -395,24 +380,109 @@ TEST(ParallelForTest, NestedUseOnOnePoolDoesNotDeadlock) {
               ++leaf;
               return Status::OK();
             },
-            par);
+            &pool);
       },
-      par);
+      &pool);
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(leaf.load(), 64);
 }
 
+/// Occupies every worker of `pool` until `release` counts down; returns once
+/// each worker is inside its blocker.
+void HoldEveryWorker(ThreadPool& pool, std::latch& release) {
+  std::latch started(static_cast<std::ptrdiff_t>(pool.size()));
+  for (size_t w = 0; w < pool.size(); ++w) {
+    pool.Submit([&started, &release] {
+      started.count_down();
+      release.wait();
+    });
+  }
+  started.wait();
+}
+
+TEST(ParallelForTest, CallerRunsOnlyItsOwnIndices) {
+  ThreadPool pool(1);
+  std::latch release_worker(1);
+  HoldEveryWorker(pool, release_worker);
+
+  // Call A stalls inside index 0 on its own thread while its index 1 waits
+  // for a thread to claim it.
+  std::latch a_entered(1);
+  std::latch release_a(1);
+  std::atomic<int> a_index1_runs{0};
+  Status a_status;
+  std::thread a_caller([&] {
+    a_status = ParallelFor(
+        0, 2,
+        [&](size_t i) -> Status {
+          if (i == 0) {
+            a_entered.count_down();
+            release_a.wait();
+          } else {
+            ++a_index1_runs;
+          }
+          return Status::OK();
+        },
+        &pool);
+  });
+  a_entered.wait();
+
+  // Call B, waiting for its own indices, must not pick up A's index 1.
+  std::atomic<int> b_runs{0};
+  ASSERT_TRUE(ParallelFor(
+                  0, 2,
+                  [&](size_t) -> Status {
+                    ++b_runs;
+                    return Status::OK();
+                  },
+                  &pool)
+                  .ok());
+  EXPECT_EQ(b_runs.load(), 2);
+  EXPECT_EQ(a_index1_runs.load(), 0) << "call B ran call A's index 1";
+
+  release_a.count_down();
+  release_worker.count_down();
+  a_caller.join();
+  EXPECT_TRUE(a_status.ok());
+  EXPECT_EQ(a_index1_runs.load(), 1);
+}
+
+TEST(ParallelForTest, FinishesWhileEveryWorkerIsBusy) {
+  std::vector<int> hits(100, 0);
+  std::vector<std::thread::id> ran_on(hits.size());
+  {
+    ThreadPool pool(3);
+    std::latch release(1);
+    HoldEveryWorker(pool, release);
+    // With no worker free, the caller claims and runs every index itself;
+    // the helper tasks stay queued behind the blockers.
+    ASSERT_TRUE(ParallelFor(
+                    0, hits.size(),
+                    [&](size_t i) -> Status {
+                      ++hits[i];
+                      ran_on[i] = std::this_thread::get_id();
+                      return Status::OK();
+                    },
+                    &pool)
+                    .ok());
+    release.count_down();
+    // ~ThreadPool runs the late helpers before joining: they find no index
+    // left and never call the (by then destroyed) function.
+  }
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 1) << "index " << i;
+    EXPECT_EQ(ran_on[i], std::this_thread::get_id()) << "index " << i;
+  }
+}
+
 TEST(ParallelMapTest, ResultsLandInInputOrder) {
   ThreadPool pool(4);
-  ParallelOptions par;
-  par.pool = &pool;
-  par.grain = 1;
   Result<std::vector<std::string>> r = ParallelMap<std::string>(
       50,
       [](size_t i) -> Result<std::string> {
         return "v" + std::to_string(i);
       },
-      par);
+      &pool);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 50u);
   for (size_t i = 0; i < r->size(); ++i) {
@@ -422,15 +492,13 @@ TEST(ParallelMapTest, ResultsLandInInputOrder) {
 
 TEST(ParallelMapTest, ErrorPropagates) {
   ThreadPool pool(2);
-  ParallelOptions par;
-  par.pool = &pool;
   Result<std::vector<int>> r = ParallelMap<int>(
       20,
       [](size_t i) -> Result<int> {
         if (i == 11) return Status::NotFound("11");
         return static_cast<int>(i);
       },
-      par);
+      &pool);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsNotFound());
 }

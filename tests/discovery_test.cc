@@ -465,6 +465,30 @@ TEST(PexesoTest, TableAggregation) {
   EXPECT_EQ(tables[0].table_name, "shelter");
 }
 
+TEST(PexesoTest, LongQueryColumnScoresOverTheValuesItScores) {
+  // The query column has 200 distinct values and PEXESO scores its first 128;
+  // the candidate holds exactly those 128, so every scored value matches.
+  Corpus corpus;
+  table::Table wide("wide", table::Schema({{"code", table::DataType::kString, true}}));
+  table::Table lead("lead", table::Schema({{"code", table::DataType::kString, true}}));
+  for (int i = 0; i < 200; ++i) {
+    const table::Value v("code" + std::to_string(i));
+    ASSERT_TRUE(wide.AppendRow({v}).ok());
+    if (i < 128) {
+      ASSERT_TRUE(lead.AppendRow({v}).ok());
+    }
+  }
+  ASSERT_TRUE(corpus.AddTable(wide).ok());
+  ASSERT_TRUE(corpus.AddTable(lead).ok());
+  PexesoFinder finder(&corpus);
+  finder.Build();
+  auto matches = finder.TopKSemanticJoinableColumns(
+      *corpus.FindColumn("wide", "code"), 5);
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].column, *corpus.FindColumn("lead", "code"));
+  EXPECT_EQ(matches[0].score, 1.0);
+}
+
 TEST(PexesoTest, NonTextualQueryYieldsNothing) {
   Corpus corpus;
   auto t = table::Table::FromCsv("nums", "x\n1\n2\n3\n");

@@ -363,8 +363,9 @@ TEST_F(LakehouseTest, CheckpointedTableStillTimeTravels) {
   EXPECT_EQ(t->Read(2)->num_rows(), 4u);  // pre-checkpoint version
 }
 
-// A `_last_checkpoint` pointer that does not parse counts as absent: every
-// commit is replayed, so reads at any version stay exact.
+// A `_last_checkpoint` pointer that does not parse, or names a version with
+// no checkpoint object, counts as absent: every commit is replayed, so reads
+// at any version stay exact.
 TEST_F(LakehouseTest, UnparsableCheckpointPointerReplaysTheLog) {
   auto t = DeltaTable::Create(store_.get(), "orders", OrdersSchema());
   ASSERT_TRUE(t.ok());
@@ -373,14 +374,21 @@ TEST_F(LakehouseTest, UnparsableCheckpointPointerReplaysTheLog) {
   }
   ASSERT_TRUE(t->Checkpoint().ok());
   ASSERT_TRUE(t->Append(OrdersRows(30, 2)).ok());
-  for (const char* pointer : {"garbage", "", "3x"}) {
+  for (const char* pointer : {"garbage", "", "3x", "1", "7"}) {
     SCOPED_TRACE(pointer);
     ASSERT_TRUE(
         store_->Put("tables/orders/_delta_log/_last_checkpoint", pointer).ok());
     auto reopened = DeltaTable::Open(store_.get(), "orders");
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    EXPECT_EQ(reopened->Read()->num_rows(), 8u);
-    EXPECT_EQ(reopened->Read(2)->num_rows(), 4u);
+    auto latest = reopened->Read();
+    ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+    EXPECT_EQ(latest->num_rows(), 8u);
+    auto at_two = reopened->Read(2);
+    ASSERT_TRUE(at_two.ok()) << at_two.status().ToString();
+    EXPECT_EQ(at_two->num_rows(), 4u);
+    auto version = reopened->Version();
+    ASSERT_TRUE(version.ok()) << version.status().ToString();
+    EXPECT_EQ(*version, 4);
   }
 }
 

@@ -124,8 +124,8 @@ TEST_F(KvStoreConcurrentTest, ConcurrentWriteBatchesAllLand) {
   ASSERT_TRUE(store.ok());
   KvStore* kv = store->get();
 
-  // Drive the committers through the shared ThreadPool (grain=1: one task
-  // per writer) — the same execution layer the parallel ingest paths use.
+  // Drive the committers through the default ThreadPool — the same
+  // execution layer the parallel ingest paths use.
   Status status = ParallelFor(
       0, kThreads,
       [&](size_t t) -> Status {
@@ -139,8 +139,7 @@ TEST_F(KvStoreConcurrentTest, ConcurrentWriteBatchesAllLand) {
           LAKEKIT_RETURN_IF_ERROR(kv->Write(batch));
         }
         return Status::OK();
-      },
-      {.grain = 1});
+      });
   ASSERT_TRUE(status.ok()) << status.message();
 
   auto all = kv->Scan();
