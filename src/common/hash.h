@@ -20,7 +20,10 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Combines two 64-bit hashes (order dependent).
+/// Combines two 64-bit hashes (order dependent). Not injective: distinct
+/// pairs can combine to one value (`HashCombine(1, 70) == HashCombine(2, 3)`),
+/// so use it to group or probe, where a collision costs an extra candidate
+/// or comparison, never as a key that must name one pair.
 inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return Mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }

@@ -1,7 +1,6 @@
 #include "discovery/aurum.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "text/lsh.h"
 #include "text/tfidf.h"
@@ -29,29 +28,30 @@ Status AurumFinder::Build(ThreadPool* pool) {
   text::LshIndex lsh(kLshBands, kLshRows);
   const auto& sketches = corpus_->sketches();
 
-  // EKG nodes + table hyperedges.
-  ekg_node_of_.clear();
-  ekg_node_of_.reserve(sketches.size());
-  std::unordered_map<uint32_t, std::vector<Ekg::NodeId>> table_nodes;
+  // One EKG node per column in corpus order, so node i + 1 is sketch i.
+  // A table's columns are contiguous, so its hyperedge is the run of nodes
+  // that ends at its last column.
+  ekg_ = Ekg();
+  std::vector<Ekg::NodeId> table_nodes;
   for (size_t i = 0; i < sketches.size(); ++i) {
     const ColumnSketch& s = sketches[i];
-    Ekg::NodeId node = ekg_.AddNode(s.table_name, s.column_name);
-    ekg_node_of_.push_back(node);
-    table_nodes[s.id.table_idx].push_back(node);
-  }
-  for (auto& [table_idx, nodes] : table_nodes) {
-    ekg_.AddHyperedge("table:" + corpus_->table(table_idx).name(),
-                      std::move(nodes));
+    table_nodes.push_back(ekg_.AddNode(s.table_name, s.column_name));
+    if (i + 1 == sketches.size() ||
+        sketches[i + 1].id.table_idx != s.id.table_idx) {
+      ekg_.AddHyperedge("table:" + s.table_name, std::move(table_nodes));
+      table_nodes.clear();
+    }
   }
 
-  // Serial LSH insertion (the index is cheap to build and not thread-safe
-  // to mutate), then parallel per-column candidate verification. Each column
-  // only verifies candidates with a smaller packed id — the same
-  // examine-each-pair-once set the old query-before-insert loop produced —
-  // and writes its verified edges to its own slot; the EKG merge below runs
-  // serially in ascending column order so the graph is deterministic.
-  for (const ColumnSketch& s : sketches) {
-    lsh.Insert(s.id.Packed(), s.minhash);
+  // Serial LSH insertion of sketch positions (the index is cheap to build
+  // and not thread-safe to mutate), then parallel per-column candidate
+  // verification. Each column only verifies candidates at a smaller
+  // position — the same examine-each-pair-once set the old
+  // query-before-insert loop produced — and writes its verified edges to
+  // its own slot; the EKG merge below runs serially in ascending column
+  // order so the graph is deterministic.
+  for (size_t i = 0; i < sketches.size(); ++i) {
+    lsh.Insert(i, sketches[i].minhash);
   }
   struct VerifiedEdge {
     size_t other;  // sketch index
@@ -64,16 +64,12 @@ Status AurumFinder::Build(ThreadPool* pool) {
         const ColumnSketch& s = sketches[i];
         std::vector<uint64_t> candidates = lsh.Query(s.minhash);
         std::sort(candidates.begin(), candidates.end());
-        for (uint64_t packed : candidates) {
-          if (packed >= s.id.Packed()) break;
-          ColumnId other_id = ColumnId::FromPacked(packed);
-          if (other_id.table_idx == s.id.table_idx) continue;
-          const ColumnSketch& other = corpus_->sketch(other_id);
-          double estimate = s.minhash.EstimateJaccard(other.minhash);
+        for (uint64_t j : candidates) {
+          if (j >= i) break;
+          if (sketches[j].id.table_idx == s.id.table_idx) continue;
+          double estimate = s.minhash.EstimateJaccard(sketches[j].minhash);
           if (estimate >= kContentEdgeThreshold) {
-            content_edges[i].push_back(
-                VerifiedEdge{static_cast<size_t>(&other - sketches.data()),
-                             estimate});
+            content_edges[i].push_back(VerifiedEdge{j, estimate});
           }
         }
         return Status::OK();
@@ -81,10 +77,8 @@ Status AurumFinder::Build(ThreadPool* pool) {
       pool));
   for (size_t i = 0; i < sketches.size(); ++i) {
     for (const VerifiedEdge& e : content_edges[i]) {
-      LAKEKIT_RETURN_IF_ERROR(ekg_.AddEdge(ekg_node_of_[i],
-                                           ekg_node_of_[e.other],
-                                           Relation::kContentSimilar,
-                                           e.weight));
+      LAKEKIT_RETURN_IF_ERROR(ekg_.AddEdge(
+          i + 1, e.other + 1, Relation::kContentSimilar, e.weight));
     }
   }
 
@@ -126,10 +120,8 @@ Status AurumFinder::Build(ThreadPool* pool) {
       pool));
   for (size_t i = 0; i < sketches.size(); ++i) {
     for (const VerifiedEdge& e : schema_edges[i]) {
-      LAKEKIT_RETURN_IF_ERROR(ekg_.AddEdge(ekg_node_of_[i],
-                                           ekg_node_of_[e.other],
-                                           Relation::kSchemaSimilar,
-                                           e.weight));
+      LAKEKIT_RETURN_IF_ERROR(ekg_.AddEdge(
+          i + 1, e.other + 1, Relation::kSchemaSimilar, e.weight));
     }
   }
 
@@ -148,15 +140,11 @@ Status AurumFinder::Build(ThreadPool* pool) {
           return Status::OK();
         }
         // Only check LSH/content candidates plus exact containment verify.
-        for (uint64_t packed : lsh.Query(pk.minhash)) {
-          ColumnId fk_id = ColumnId::FromPacked(packed);
-          if (fk_id == pk.id || fk_id.table_idx == pk.id.table_idx) continue;
-          const ColumnSketch& fk = corpus_->sketch(fk_id);
-          double containment = ExactContainment(fk, pk);
+        for (uint64_t j : lsh.Query(pk.minhash)) {
+          if (sketches[j].id.table_idx == pk.id.table_idx) continue;
+          double containment = ExactContainment(sketches[j], pk);
           if (containment >= kPkFkContainmentThreshold) {
-            pkfk_edges[i].push_back(
-                VerifiedEdge{static_cast<size_t>(&fk - sketches.data()),
-                             containment});
+            pkfk_edges[i].push_back(VerifiedEdge{j, containment});
           }
         }
         return Status::OK();
@@ -165,9 +153,8 @@ Status AurumFinder::Build(ThreadPool* pool) {
   for (size_t i = 0; i < sketches.size(); ++i) {
     for (const VerifiedEdge& e : pkfk_edges[i]) {
       pkfk_pairs_.emplace_back(sketches[e.other].id, sketches[i].id);
-      LAKEKIT_RETURN_IF_ERROR(ekg_.AddEdge(ekg_node_of_[e.other],
-                                           ekg_node_of_[i], Relation::kPkFk,
-                                           e.weight));
+      LAKEKIT_RETURN_IF_ERROR(
+          ekg_.AddEdge(e.other + 1, i + 1, Relation::kPkFk, e.weight));
     }
   }
   built_ = true;
@@ -176,19 +163,23 @@ Status AurumFinder::Build(ThreadPool* pool) {
 
 namespace {
 
-/// Translates EKG neighbor lists back to corpus ColumnMatches.
-std::vector<ColumnMatch> ToMatches(
-    const Corpus& corpus, const Ekg& ekg,
-    const std::vector<std::pair<Ekg::NodeId, double>>& neighbors) {
+/// Node i + 1 is sketch i.
+Ekg::NodeId NodeOf(const Corpus& corpus, ColumnId column) {
+  return static_cast<Ekg::NodeId>(&corpus.sketch(column) -
+                                  corpus.sketches().data()) +
+         1;
+}
+
+/// The top k of `query`'s neighbors via `relation`, as corpus columns.
+std::vector<ColumnMatch> NeighborMatches(const Corpus& corpus, const Ekg& ekg,
+                                         ColumnId query, Relation relation,
+                                         size_t k) {
   std::vector<ColumnMatch> out;
-  out.reserve(neighbors.size());
-  for (const auto& [node, weight] : neighbors) {
-    Result<Ekg::Node> n = ekg.GetNode(node);
-    if (!n.ok()) continue;
-    Result<ColumnId> id = corpus.FindColumn(n->table, n->column);
-    if (!id.ok()) continue;
-    out.push_back(ColumnMatch{*id, weight});
+  for (const auto& [node, weight] :
+       ekg.Neighbors(NodeOf(corpus, query), relation)) {
+    out.push_back(ColumnMatch{corpus.sketches()[node - 1].id, weight});
   }
+  SortAndTruncate(&out, k);
   return out;
 }
 
@@ -196,13 +187,7 @@ std::vector<ColumnMatch> ToMatches(
 
 std::vector<ColumnMatch> AurumFinder::TopKJoinableColumns(ColumnId query,
                                                           size_t k) const {
-  const ColumnSketch& q = corpus_->sketch(query);
-  auto node = ekg_.FindNode(q.table_name, q.column_name);
-  if (!node) return {};
-  std::vector<ColumnMatch> matches = ToMatches(
-      *corpus_, ekg_, ekg_.Neighbors(*node, Relation::kContentSimilar));
-  SortAndTruncate(&matches, k);
-  return matches;
+  return NeighborMatches(*corpus_, ekg_, query, Relation::kContentSimilar, k);
 }
 
 std::vector<TableMatch> AurumFinder::TopKJoinableTables(size_t table_idx,
@@ -219,30 +204,16 @@ std::vector<TableMatch> AurumFinder::TopKJoinableTables(size_t table_idx,
 
 std::vector<ColumnMatch> AurumFinder::SchemaSimilarColumns(ColumnId query,
                                                            size_t k) const {
-  const ColumnSketch& q = corpus_->sketch(query);
-  auto node = ekg_.FindNode(q.table_name, q.column_name);
-  if (!node) return {};
-  std::vector<ColumnMatch> matches = ToMatches(
-      *corpus_, ekg_, ekg_.Neighbors(*node, Relation::kSchemaSimilar));
-  SortAndTruncate(&matches, k);
-  return matches;
+  return NeighborMatches(*corpus_, ekg_, query, Relation::kSchemaSimilar, k);
 }
 
 std::vector<ColumnId> AurumFinder::DiscoveryPath(ColumnId from, ColumnId to,
                                                  size_t max_hops) const {
-  const ColumnSketch& f = corpus_->sketch(from);
-  const ColumnSketch& t = corpus_->sketch(to);
-  auto from_node = ekg_.FindNode(f.table_name, f.column_name);
-  auto to_node = ekg_.FindNode(t.table_name, t.column_name);
-  if (!from_node || !to_node) return {};
   std::vector<ColumnId> out;
   for (Ekg::NodeId node :
-       ekg_.FindPath(*from_node, *to_node, Relation::kContentSimilar,
-                     max_hops)) {
-    Result<Ekg::Node> n = ekg_.GetNode(node);
-    if (!n.ok()) continue;
-    Result<ColumnId> id = corpus_->FindColumn(n->table, n->column);
-    if (id.ok()) out.push_back(*id);
+       ekg_.FindPath(NodeOf(*corpus_, from), NodeOf(*corpus_, to),
+                     Relation::kContentSimilar, max_hops)) {
+    out.push_back(corpus_->sketches()[node - 1].id);
   }
   return out;
 }

@@ -52,13 +52,13 @@ class AurumFinder {
   std::vector<ColumnId> DiscoveryPath(ColumnId from, ColumnId to,
                                       size_t max_hops = 6) const;
 
+  /// One node per corpus column: node i + 1 is `corpus->sketches()[i]`.
   const metamodel::Ekg& ekg() const { return ekg_; }
   bool built() const { return built_; }
 
  private:
   const Corpus* corpus_;
   metamodel::Ekg ekg_;
-  std::vector<metamodel::Ekg::NodeId> ekg_node_of_;  // by sketch index order
   std::vector<std::pair<ColumnId, ColumnId>> pkfk_pairs_;
   bool built_ = false;
 };

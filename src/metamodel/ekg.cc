@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "common/hash.h"
-
 namespace lakekit::metamodel {
 
 std::string_view RelationName(Relation r) {
@@ -19,25 +17,19 @@ std::string_view RelationName(Relation r) {
   return "unknown";
 }
 
-size_t Ekg::NameHash::operator()(const Name& name) const {
-  return HashCombine(std::hash<std::string>{}(name.first),
-                     std::hash<std::string>{}(name.second));
-}
-
 Ekg::NodeId Ekg::AddNode(std::string_view table, std::string_view column) {
-  auto [it, inserted] = by_name_.try_emplace(
-      {std::string(table), std::string(column)}, nodes_.size() + 1);
-  if (inserted) {
-    nodes_.push_back(Node{it->second, it->first.first, it->first.second});
-  }
-  return it->second;
+  NodeId id = nodes_.size() + 1;
+  nodes_.push_back(Node{id, std::string(table), std::string(column)});
+  adjacency_.emplace_back();
+  return id;
 }
 
 std::optional<Ekg::NodeId> Ekg::FindNode(std::string_view table,
                                          std::string_view column) const {
-  auto it = by_name_.find({std::string(table), std::string(column)});
-  if (it == by_name_.end()) return std::nullopt;
-  return it->second;
+  for (const Node& n : nodes_) {
+    if (n.table == table && n.column == column) return n.id;
+  }
+  return std::nullopt;
 }
 
 Result<Ekg::Node> Ekg::GetNode(NodeId id) const {
@@ -49,22 +41,24 @@ Result<Ekg::Node> Ekg::GetNode(NodeId id) const {
 
 uint64_t Ekg::PairKey(NodeId a, NodeId b, Relation r) {
   if (a > b) std::swap(a, b);
-  return HashCombine(HashCombine(a, b), static_cast<uint64_t>(r));
+  return (a << 33) | (b << 2) | static_cast<uint64_t>(r);
 }
 
 Status Ekg::AddEdge(NodeId a, NodeId b, Relation relation, double weight) {
   if (a == b) return Status::InvalidArgument("self edge in EKG");
-  LAKEKIT_RETURN_IF_ERROR(GetNode(a).status());
-  LAKEKIT_RETURN_IF_ERROR(GetNode(b).status());
-  uint64_t key = PairKey(a, b, relation);
-  auto it = edge_index_.find(key);
-  if (it != edge_index_.end()) {
+  for (NodeId id : {a, b}) {
+    if (id == 0 || id > nodes_.size()) {
+      return Status::NotFound("no EKG node " + std::to_string(id));
+    }
+  }
+  auto [it, inserted] =
+      edge_index_.try_emplace(PairKey(a, b, relation), edges_.size());
+  if (!inserted) {
     edges_[it->second].weight = weight;
     return Status::OK();
   }
-  edge_index_[key] = edges_.size();
-  adjacency_[a].push_back(edges_.size());
-  adjacency_[b].push_back(edges_.size());
+  adjacency_[a - 1].push_back(edges_.size());
+  adjacency_[b - 1].push_back(edges_.size());
   edges_.push_back(Edge{a, b, relation, weight});
   return Status::OK();
 }
@@ -79,9 +73,8 @@ Ekg::HyperedgeId Ekg::AddHyperedge(std::string_view label,
 std::vector<std::pair<Ekg::NodeId, double>> Ekg::Neighbors(
     NodeId node, Relation relation, double min_weight) const {
   std::vector<std::pair<NodeId, double>> out;
-  auto it = adjacency_.find(node);
-  if (it == adjacency_.end()) return out;
-  for (size_t edge_idx : it->second) {
+  if (node == 0 || node > adjacency_.size()) return out;
+  for (size_t edge_idx : adjacency_[node - 1]) {
     const Edge& e = edges_[edge_idx];
     if (e.relation != relation || e.weight < min_weight) continue;
     out.emplace_back(e.a == node ? e.b : e.a, e.weight);

@@ -2,7 +2,6 @@
 #define LAKEKIT_METAMODEL_EKG_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -51,10 +50,13 @@ class Ekg {
     std::vector<NodeId> nodes;
   };
 
-  /// Adds (or returns the existing) node for the (table, column) pair.
+  /// Adds a node for the (table, column) pair. Every call adds one: ids are
+  /// dense and follow call order from 1, so two same-named columns of one
+  /// table are two nodes.
   NodeId AddNode(std::string_view table, std::string_view column);
 
-  /// Node lookup by (table, column); nullopt when absent.
+  /// The first node added for (table, column), by a scan over the nodes;
+  /// nullopt when absent.
   std::optional<NodeId> FindNode(std::string_view table,
                                  std::string_view column) const;
 
@@ -90,19 +92,15 @@ class Ekg {
   const std::vector<Edge>& edges() const { return edges_; }
 
  private:
+  /// The exact (lower id, higher id, relation) triple in one word: 31 bits
+  /// per id and 2 for the relation. Ids are dense, one per node, so they
+  /// stay far below 2^31.
   static uint64_t PairKey(NodeId a, NodeId b, Relation r);
 
   std::vector<Node> nodes_;  // id == index + 1
   std::vector<Edge> edges_;
   std::unordered_map<uint64_t, size_t> edge_index_;
-  std::unordered_map<NodeId, std::vector<size_t>> adjacency_;
-  /// Keyed by the (table, column) pair: a joined "table.column" string
-  /// would give ("a.b", "c") and ("a", "b.c") one node.
-  using Name = std::pair<std::string, std::string>;
-  struct NameHash {
-    size_t operator()(const Name& name) const;
-  };
-  std::unordered_map<Name, NodeId, NameHash> by_name_;
+  std::vector<std::vector<size_t>> adjacency_;  // edge indexes, by id - 1
   std::vector<Hyperedge> hyperedges_;
 };
 

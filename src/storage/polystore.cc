@@ -1,6 +1,5 @@
 #include "storage/polystore.h"
 
-#include "common/hash.h"
 #include "json/parser.h"
 #include "json/writer.h"
 
@@ -145,13 +144,15 @@ uint64_t Polystore::generation(std::string_view name) const {
     auto it = generations_->datasets.find(name);
     if (it != generations_->datasets.end()) base = it->second;
   }
-  // Object-backed datasets fold in the object tier's own etag, so writes
+  // Object-backed datasets add the object tier's own etag, so writes
   // issued directly against objects() (bypassing the polystore) still
-  // retire cached scans. HashCombine keeps the two counters from aliasing
-  // (base+1 with etag e vs base with etag e+1 must differ).
+  // retire cached scans. Neither counter ever decreases and every write
+  // raises one of them, so the sum rises with each write and a dataset
+  // never sees one generation twice. A hash of the pair would not do:
+  // HashCombine(63, 58) == HashCombine(64, 60).
   auto it = registry_.find(name);
   if (it != registry_.end() && it->second.store == StoreKind::kObject) {
-    return HashCombine(base, objects_->etag(it->second.locator));
+    return base + objects_->etag(it->second.locator);
   }
   return base;
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -208,6 +210,101 @@ TEST_F(AurumTest, SchemaSimilarColumnsShareName) {
   for (const ColumnMatch& m : matches) {
     EXPECT_EQ(corpus_->sketch(m.column).column_name, "id");
   }
+}
+
+// The oracle: TF-IDF over each column's name tokens, weight tf / length ×
+// (ln((1 + N) / (1 + df)) + 1), and every cross-table pair whose cosine is
+// at least 0.6 is an edge. Every table has an `id`, a `measure` and three
+// `attr` columns, so each name forms a clique across the 24 tables.
+TEST_F(AurumTest, SchemaEdgesMatchAllPairsOracle) {
+  const std::vector<ColumnSketch>& sketches = corpus_->sketches();
+  const double n = static_cast<double>(sketches.size());
+  std::map<std::string, double> df;
+  for (const ColumnSketch& s : sketches) {
+    for (const std::string& token :
+         std::set<std::string>(s.name_tokens.begin(), s.name_tokens.end())) {
+      df[token] += 1;
+    }
+  }
+  std::vector<std::map<std::string, double>> vectors;
+  for (const ColumnSketch& s : sketches) {
+    std::map<std::string, double> v;
+    for (const std::string& token : s.name_tokens) {
+      v[token] += 1.0 / static_cast<double>(s.name_tokens.size());
+    }
+    for (auto& [token, w] : v) w *= std::log((1 + n) / (1 + df[token])) + 1;
+    vectors.push_back(std::move(v));
+  }
+  auto cosine = [](const std::map<std::string, double>& a,
+                   const std::map<std::string, double>& b) {
+    double dot = 0, na = 0, nb = 0;
+    for (const auto& [token, w] : a) {
+      na += w * w;
+      auto it = b.find(token);
+      if (it != b.end()) dot += w * it->second;
+    }
+    for (const auto& [token, w] : b) nb += w * w;
+    return na == 0 || nb == 0 ? 0.0 : dot / std::sqrt(na * nb);
+  };
+  std::map<std::pair<ColumnId, ColumnId>, double> expected;
+  for (size_t i = 0; i < sketches.size(); ++i) {
+    for (size_t j = i + 1; j < sketches.size(); ++j) {
+      if (sketches[i].id.table_idx == sketches[j].id.table_idx) continue;
+      double c = cosine(vectors[i], vectors[j]);
+      if (c >= 0.6) expected[{sketches[i].id, sketches[j].id}] = c;
+    }
+  }
+  ASSERT_EQ(expected.size(), 5u * (24u * 23u / 2));
+
+  std::map<std::pair<ColumnId, ColumnId>, double> found;
+  for (const ColumnSketch& s : sketches) {
+    for (const ColumnMatch& m :
+         finder_->SchemaSimilarColumns(s.id, sketches.size())) {
+      if (s.id < m.column) found[{s.id, m.column}] = m.score;
+    }
+  }
+  EXPECT_EQ(found.size(), expected.size());
+  for (const auto& [pair, weight] : expected) {
+    EXPECT_NEAR(found.count(pair) ? found[pair] : -1.0, weight, 1e-12);
+  }
+
+  for (size_t t = 0; t < corpus_->num_tables(); ++t) {
+    std::vector<ColumnMatch> ids = finder_->SchemaSimilarColumns(
+        Col(corpus_->table(t).name(), "id"), sketches.size());
+    EXPECT_EQ(ids.size(), 23u);
+    for (const ColumnMatch& m : ids) {
+      EXPECT_EQ(corpus_->sketch(m.column).column_name, "id");
+    }
+  }
+}
+
+// Table t holds two columns named v, the first with u.x's values and the
+// second with w.y's. Each is its own node, so each joins only its partner.
+TEST_F(AurumTest, RepeatedColumnNamesAreSeparateNodes) {
+  std::string u = "x\n", w = "y\n", t = "v,v\n";
+  for (int i = 0; i < 50; ++i) {
+    std::string a = "a" + std::to_string(i), b = "b" + std::to_string(i);
+    u += a + "\n";
+    w += b + "\n";
+    t += a + "," + b + "\n";
+  }
+  Corpus corpus;
+  ASSERT_TRUE(corpus
+                  .AddTables({*table::Table::FromCsv("u", u),
+                              *table::Table::FromCsv("w", w),
+                              *table::Table::FromCsv("t", t)})
+                  .ok());
+  AurumFinder finder(&corpus);
+  ASSERT_TRUE(finder.Build().ok());
+  const ColumnId ux{0, 0}, wy{1, 0}, tv1{2, 1};
+  std::vector<ColumnMatch> of_wy = finder.TopKJoinableColumns(wy, 5);
+  ASSERT_EQ(of_wy.size(), 1u);
+  EXPECT_EQ(of_wy[0].column, tv1);
+  std::vector<ColumnMatch> of_tv1 = finder.TopKJoinableColumns(tv1, 5);
+  ASSERT_EQ(of_tv1.size(), 1u);
+  EXPECT_EQ(of_tv1[0].column, wy);
+  EXPECT_EQ(finder.TopKJoinableColumns(ux, 5),
+            (std::vector<ColumnMatch>{{ColumnId{2, 0}, 1.0}}));
 }
 
 TEST_F(AurumTest, EkgHasTableHyperedges) {

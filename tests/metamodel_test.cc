@@ -138,15 +138,16 @@ TEST(HandleModelTest, GemmsUnitMapsOntoHandle) {
 
 // ---------------------------------------------------------------- EKG
 
-TEST(EkgTest, NodesAreDedupedByName) {
+// A table may hold two columns of one name; each is its own attribute.
+TEST(EkgTest, RepeatedNamesAreSeparateNodes) {
   Ekg ekg;
   auto a = ekg.AddNode("orders", "id");
   auto a2 = ekg.AddNode("orders", "id");
-  EXPECT_EQ(a, a2);
-  EXPECT_EQ(ekg.num_nodes(), 1u);
+  EXPECT_NE(a, a2);
+  EXPECT_EQ(ekg.num_nodes(), 2u);
   EXPECT_EQ(*ekg.FindNode("orders", "id"), a);
   EXPECT_FALSE(ekg.FindNode("orders", "nope").has_value());
-  EXPECT_EQ(ekg.GetNode(a)->FullName(), "orders.id");
+  EXPECT_EQ(ekg.GetNode(a2)->FullName(), "orders.id");
 }
 
 // Dataset "a.b"'s column "c" and dataset "a"'s column "b.c" share the
@@ -176,10 +177,34 @@ TEST(EkgTest, EdgesWithWeightsAndUpdate) {
   EXPECT_DOUBLE_EQ(neighbors[0].second, 0.9);
 }
 
+// HashCombine(1, 70) == HashCombine(2, 3): an edge keyed by a hash of its
+// pair would take the second edge for an update of the first.
+TEST(EkgTest, DistinctPairsKeepTheirOwnEdges) {
+  Ekg ekg;
+  for (int i = 0; i < 70; ++i) ekg.AddNode("t" + std::to_string(i), "c");
+  ASSERT_TRUE(ekg.AddEdge(1, 70, Relation::kSchemaSimilar, 0.5).ok());
+  ASSERT_TRUE(ekg.AddEdge(2, 3, Relation::kSchemaSimilar, 0.9).ok());
+  EXPECT_EQ(ekg.num_edges(), 2u);
+  EXPECT_EQ(ekg.Neighbors(1, Relation::kSchemaSimilar),
+            (std::vector<std::pair<Ekg::NodeId, double>>{{70, 0.5}}));
+  EXPECT_EQ(ekg.Neighbors(3, Relation::kSchemaSimilar),
+            (std::vector<std::pair<Ekg::NodeId, double>>{{2, 0.9}}));
+}
+
 TEST(EkgTest, SelfEdgeRejected) {
   Ekg ekg;
   auto a = ekg.AddNode("t", "c");
   EXPECT_FALSE(ekg.AddEdge(a, a, Relation::kPkFk, 1.0).ok());
+}
+
+TEST(EkgTest, EdgeToUnknownNodeRejected) {
+  Ekg ekg;
+  auto a = ekg.AddNode("t", "c");
+  EXPECT_TRUE(ekg.AddEdge(a, a + 1, Relation::kPkFk, 1.0).IsNotFound());
+  EXPECT_TRUE(ekg.AddEdge(0, a, Relation::kPkFk, 1.0).IsNotFound());
+  EXPECT_EQ(ekg.num_edges(), 0u);
+  EXPECT_TRUE(ekg.Neighbors(a + 1, Relation::kPkFk).empty());
+  EXPECT_TRUE(ekg.Neighbors(0, Relation::kPkFk).empty());
 }
 
 TEST(EkgTest, NeighborsFilteredByRelationAndWeight) {

@@ -171,6 +171,39 @@ TEST_F(PolystoreGenerationTest, DirectObjectWriteChangesGeneration) {
   EXPECT_NE(before, store.generation("logs"));
 }
 
+// HashCombine(63, 58) == HashCombine(64, 60): a generation hashed from the
+// bump count and the etag would repeat after one more bump and two more
+// writes, and the engine would serve the scan it cached before them.
+TEST_F(PolystoreGenerationTest, GenerationNeverRepeatsAcrossBumpsAndWrites) {
+  auto opened = Polystore::Open(Path("lake"));
+  ASSERT_TRUE(opened.ok());
+  Polystore& store = *opened;
+  ASSERT_TRUE(store.StoreObject("d", "raw/d.csv", "x\n0\n").ok());
+  for (int x = 1; x <= 57; ++x) {
+    ASSERT_TRUE(
+        store.objects().Put("raw/d.csv", "x\n" + std::to_string(x) + "\n")
+            .ok());
+  }
+  ASSERT_EQ(store.objects().etag("raw/d.csv"), 58u);
+  for (int i = 0; i < 63; ++i) store.BumpGeneration("d");
+  TableCache cache;
+  FederatedEngineOptions options;
+  options.table_cache = &cache;
+  FederatedEngine engine(&store, options);
+  Result<Table> before = engine.Query("SELECT x FROM d");
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->column(0)[0], Value(int64_t{57}));
+
+  store.BumpGeneration("d");
+  ASSERT_TRUE(store.objects().Put("raw/d.csv", "x\n199\n").ok());
+  ASSERT_TRUE(store.objects().Put("raw/d.csv", "x\n200\n").ok());
+  FederationStats stats;
+  Result<Table> after = engine.Query("SELECT x FROM d", {.stats_out = &stats});
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(after->column(0)[0], Value(int64_t{200}));
+}
+
 /// Engine + cache over a VersionedSource wrapped in a FlakySource, so tests
 /// can count physical reads and script failures.
 struct CachedRig {
